@@ -9,7 +9,7 @@
  * congruence accounting (pair bound, lemmas instantiated, refinement
  * rounds, model scans); the registry is exported to
  * BENCH_ackermann.json (override with OWL_STATS_JSON) in the
- * owl.obs.v1 schema.
+ * owl.obs.v2 schema.
  *
  * The bench doubles as the acceptance gate for DESIGN.md §14:
  *  - holes must be bit-identical between the two modes (lexmin runs

@@ -7,7 +7,7 @@
  * carrying wall-clock, CEGIS iterations, the total SAT conflicts spent
  * during synthesis, and the incremental-reuse counters; the registry
  * is exported to BENCH_incremental.json (override with
- * OWL_STATS_JSON) in the owl.obs.v1 schema.
+ * OWL_STATS_JSON) in the owl.obs.v2 schema.
  *
  * The two modes are bit-identical by construction (both pin every
  * synth query to its lexmin hole model), so the bench also

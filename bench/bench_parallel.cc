@@ -7,7 +7,7 @@
  *
  * Every measurement is a `parallel.row` obs span and the registry is
  * exported to BENCH_parallel.json (override with OWL_STATS_JSON) in
- * the owl.obs.v1 schema; tools/check_stats_schema.py validates it.
+ * the owl.obs.v2 schema; tools/check_stats_schema.py validates it.
  *
  * Speedup is reported against the sequential *unpinned* run — the
  * configuration the parallel strategy is bit-identical to. The pinned

@@ -20,7 +20,7 @@
  * Besides the human-readable table on stdout, every row's measurement
  * is recorded as a `table1.row` obs span (with per-row CEGIS/SMT/SAT
  * children underneath) and the whole registry is exported to
- * BENCH_table1.json (override with OWL_STATS_JSON) in the owl.obs.v1
+ * BENCH_table1.json (override with OWL_STATS_JSON) in the owl.obs.v2
  * schema, so the perf trajectory is a machine-readable artifact of
  * every run.
  */

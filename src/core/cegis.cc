@@ -46,17 +46,11 @@ smt::SolveLimits
 CegisOptions::solveLimits() const
 {
     smt::SolveLimits limits;
+    static_cast<smt::SolverConfig &>(limits) = *this;
     limits.conflictLimit = conflictLimit;
     if (hasDeadline())
         limits.timeLimit = remaining();
     limits.cancelFlag = cancelFlag;
-    limits.portfolioJobs = satPortfolio;
-    limits.portfolioSeed = satPortfolioSeed;
-    limits.checkProofs = checkProofs;
-    limits.profileSat = profileSat;
-    limits.preprocess = preprocess;
-    limits.inprocessConflicts = inprocessConflicts;
-    limits.eagerAckermann = eagerAckermann;
     return limits;
 }
 
@@ -275,19 +269,6 @@ buildCexConstraint(const oyster::Design &sketch, const ila::Ila &spec,
     return tt.mkImplies(lhs, rhs);
 }
 
-smt::IncrementalOptions
-incrementalOptionsFrom(const CegisOptions &opts)
-{
-    smt::IncrementalOptions io;
-    io.portfolioJobs = opts.satPortfolio;
-    io.portfolioSeed = opts.satPortfolioSeed;
-    io.checkProofs = opts.checkProofs;
-    io.preprocess = opts.preprocess;
-    io.inprocessConflicts = opts.inprocessConflicts;
-    io.eagerAckermann = opts.eagerAckermann;
-    return io;
-}
-
 /**
  * Fix the candidate to the lexicographically-minimal hole assignment
  * of the current (satisfiable) synth query: holes in name order, bits
@@ -346,7 +327,7 @@ SynthSession::SynthSession(const oyster::Design &sketch,
                            const CegisOptions &opts)
     : sketch(sketch), spec(spec), alpha(alpha),
       instr_name(instr_name), instr(spec.instr(instr_name)),
-      ctx(tt, incrementalOptionsFrom(opts))
+      ctx(tt, opts)
 {
     // Hole variables are shared by every counterexample group,
     // exactly like the fresh path shares them per query.
@@ -403,7 +384,7 @@ InstrSynthesizer::synthStep(const ila::Instr &instr,
     // throwaway one per call, so nothing carries over between
     // iterations — because hole canonicalization needs cheap
     // assumption-based re-solves against the already-blasted query.
-    smt::IncrementalContext ctx(tt, incrementalOptionsFrom(opts));
+    smt::IncrementalContext ctx(tt, opts);
     for (const Counterexample &cex : cexes) {
         ctx.assertPermanent(buildCexConstraint(
             sketch, spec, alpha, tt, hole_vars, instr, cex));

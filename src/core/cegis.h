@@ -69,37 +69,16 @@ struct Counterexample
     std::map<std::string, std::map<uint64_t, BitVec>> mems;
 };
 
-/** Knobs for one synthesis run. */
-struct CegisOptions
+/**
+ * The CEGIS loop's policy on top of the solver's: shared by
+ * SynthesisOptions (whole-design runs) and CegisOptions (one
+ * instruction's loop), which hands it on by slice assignment.
+ */
+struct CegisConfig : smt::SolverConfig
 {
     int maxIterations = 64;
-    /** Zero = no deadline. */
-    std::chrono::steady_clock::time_point deadline{};
     /** Per-SAT-call conflict cap; 0 = unlimited. */
     uint64_t conflictLimit = 0;
-    /**
-     * Cooperative cancellation, polled between CEGIS steps and inside
-     * the SAT loop. The parallel strategy uses it to abort sibling
-     * instruction tasks once the overall run has failed. May be null.
-     */
-    const std::atomic<bool> *cancelFlag = nullptr;
-    /**
-     * >1 races that many diversified SAT solver configurations per
-     * check (owl::exec::Portfolio). Latency win on hard queries at
-     * the cost of bit-reproducible counterexamples; see DESIGN.md §7.
-     */
-    int satPortfolio = 0;
-    uint64_t satPortfolioSeed = 1;
-    /**
-     * Record and independently replay a DRAT proof for every Unsat
-     * SAT verdict (smt::SolveLimits::checkProofs). Certifies the
-     * verdicts CEGIS builds on: "no counterexample" in verify and
-     * "no candidate" in refinement. Under incremental mode the synth
-     * side keeps one session-long proof per solver; conditional
-     * (assumption-relative) Unsat verdicts carry no proof obligation
-     * and are booked as drat.unsat_conditional.
-     */
-    bool checkProofs = false;
     /**
      * Keep the synth-side query in one long-lived incremental SAT
      * session per instruction (smt::IncrementalContext): each
@@ -107,41 +86,25 @@ struct CegisOptions
      * block behind an activation literal, and learned clauses,
      * activities, and the bit-blast cache carry over between
      * iterations. Off = re-bit-blast and re-solve from scratch every
-     * iteration (the pre-incremental behavior, kept for A/B
+     * iteration (`owl synth --no-incremental`, kept for A/B
      * comparison and the bit-identity tests). Verification queries
      * always use a fresh solver — each candidate folds the holes to
      * different constants, so there is no encoding to share.
      */
     bool incremental = true;
+};
+
+/** Knobs for one instruction's CEGIS run. */
+struct CegisOptions : CegisConfig
+{
+    /** Zero = no deadline. */
+    std::chrono::steady_clock::time_point deadline{};
     /**
-     * Enable the CDCL phase profiler on every SAT solve this run
-     * issues (smt::SolveLimits::profileSat, `owl synth
-     * --profile-sat`): stride-sampled attribution of solve time to
-     * propagate/analyze/decide/reduceDb/restart, flushed to
-     * sat.phase.* counters.
+     * Cooperative cancellation, polled between CEGIS steps and inside
+     * the SAT loop. The parallel strategy uses it to abort sibling
+     * instruction tasks once the overall run has failed. May be null.
      */
-    bool profileSat = false;
-    /**
-     * SatELite-style CNF pre/inprocessing on every SAT solver this
-     * run uses (smt::SolveLimits::preprocess /
-     * smt::IncrementalOptions::preprocess). Default-on; `owl synth
-     * --no-preprocess` opts out. Lexmin hole canonicalization keeps
-     * synthesized hole assignments bit-identical either way — the
-     * answer is a property of the formula, not the search.
-     */
-    bool preprocess = true;
-    /** Inprocessing cadence in conflicts; 0 = entry-only preprocessing. */
-    uint64_t inprocessConflicts = 20000;
-    /**
-     * Instantiate the full quadratic set of Ackermann memory-read
-     * congruences up front instead of the default lemmas-on-demand
-     * refinement (smt::SolveLimits::eagerAckermann /
-     * smt::IncrementalOptions::eagerAckermann, DESIGN.md §14).
-     * Verdicts and lexmin-canonicalized holes are identical either
-     * way; the escape hatch exists for A/B comparison
-     * (`owl synth --eager-ackermann`, bench_ackermann).
-     */
-    bool eagerAckermann = false;
+    const std::atomic<bool> *cancelFlag = nullptr;
     /**
      * Optional warm-session pool (serve's amortization path). When
      * set and incremental mode is on, synthesize() checks out an

@@ -35,24 +35,6 @@ strategyName(Strategy s)
 namespace
 {
 
-CegisOptions
-cegisOptionsFrom(const SynthesisOptions &opts,
-                 std::chrono::steady_clock::time_point deadline)
-{
-    CegisOptions c;
-    c.maxIterations = opts.maxIterations;
-    c.conflictLimit = opts.conflictLimit;
-    c.deadline = deadline;
-    c.satPortfolio = opts.satPortfolio;
-    c.checkProofs = opts.checkProofs;
-    c.incremental = opts.incremental;
-    c.profileSat = opts.profileSat;
-    c.preprocess = opts.preprocess;
-    c.inprocessConflicts = opts.inprocessConflicts;
-    c.eagerAckermann = opts.eagerAckermann;
-    return c;
-}
-
 /**
  * Monolithic synthesis (Equation (1)): one joint CEGIS query over the
  * whole specification. Hole implementations are per-instruction
@@ -322,10 +304,10 @@ synthesizeControl(oyster::Design &sketch, const ila::Ila &spec,
 
     SynthesisResult result;
     auto start = std::chrono::steady_clock::now();
-    std::chrono::steady_clock::time_point deadline{};
+    CegisOptions copts;
+    static_cast<CegisConfig &>(copts) = opts;
     if (opts.timeLimit.count() > 0)
-        deadline = start + opts.timeLimit;
-    CegisOptions copts = cegisOptionsFrom(opts, deadline);
+        copts.deadline = start + opts.timeLimit;
 
     switch (opts.strategy) {
       case Strategy::PerInstruction: {
@@ -481,6 +463,10 @@ checkMutualExclusion(const oyster::Design &design, const ila::Ila &spec,
     }
     for (size_t a = 0; a < pres.size(); a++) {
         for (size_t b = a + 1; b < pres.size(); b++) {
+            // Pairwise queries are short enough to slip under the
+            // CDCL deadline stride; honor the budget between them.
+            if (opts.expired())
+                return SynthStatus::Timeout;
             CheckResult r =
                 smt::checkSat(tt, {tt.mkAnd(pres[a], pres[b])},
                               nullptr, opts.solveLimits());
@@ -553,6 +539,11 @@ verifyDesign(const oyster::Design &design, const ila::Ila &spec,
         exclusive ? findDecodeCycle(design, spec, alpha) : -1;
 
     for (const auto &i : spec.instrs()) {
+        if (opts.expired()) {
+            if (failed_instr)
+                *failed_instr = i->name();
+            return SynthStatus::Timeout;
+        }
         TermTable tt;
         SymbolicEvaluator ev(design, tt);
         applyInitAliases(design, alpha, tt, ev);

@@ -60,7 +60,7 @@ enum class Strategy : uint8_t
 const char *strategyName(Strategy s);
 
 /** Options for synthesizeControl(). */
-struct SynthesisOptions
+struct SynthesisOptions : CegisConfig
 {
     Strategy strategy = Strategy::PerInstruction;
     /**
@@ -74,61 +74,8 @@ struct SynthesisOptions
      * hardware concurrency (exec::defaultJobs()).
      */
     int jobs = 0;
-    /**
-     * >1 races that many diversified SAT configurations per check
-     * (exec::Portfolio). Off by default: counterexamples then depend
-     * on which config wins, which perturbs (not corrupts) the CEGIS
-     * trajectory — see DESIGN.md §7.
-     */
-    int satPortfolio = 0;
-    /**
-     * Certify every Unsat SAT verdict with a DRAT proof replayed
-     * through the in-repo forward checker (`owl synth
-     * --check-proofs`). Composes with satPortfolio and jobs: each
-     * portfolio racer records its own proof and the winner's is the
-     * one checked.
-     */
-    bool checkProofs = false;
-    /**
-     * Long-lived incremental SAT sessions for the synth side of each
-     * instruction's CEGIS loop (see CegisOptions::incremental). On by
-     * default; `owl synth --no-incremental` restores the fresh
-     * solver-per-iteration behavior for A/B comparison.
-     */
-    bool incremental = true;
-    /**
-     * Attribute SAT solve time to CDCL phases (propagate / analyze /
-     * decide / reduceDb / restart) by stride sampling, exported as
-     * sat.phase.* counters (`owl synth --profile-sat`). Off by
-     * default; the disabled cost is one predicted branch per phase
-     * call.
-     */
-    bool profileSat = false;
-    /**
-     * SatELite-style CNF pre/inprocessing on every SAT solver
-     * (CegisOptions::preprocess). On by default; `owl synth
-     * --no-preprocess` opts out for A/B comparison — the synthesized
-     * holes are bit-identical either way (lexmin canonicalization).
-     */
-    bool preprocess = true;
-    /**
-     * Conflicts between SAT inprocessing rounds; 0 keeps solve-entry
-     * preprocessing only (`owl synth --inprocess N`).
-     */
-    uint64_t inprocessConflicts = 20000;
-    /**
-     * Eager (up-front quadratic) Ackermann memory-read congruence
-     * instead of the default lemmas-on-demand refinement
-     * (CegisOptions::eagerAckermann, `owl synth --eager-ackermann`).
-     * Holes are bit-identical either way (lexmin canonicalization);
-     * kept for A/B comparison (bench_ackermann).
-     */
-    bool eagerAckermann = false;
     /** Whole-run wall-clock budget; zero = unlimited. */
     std::chrono::milliseconds timeLimit{0};
-    /** Per-SAT-call conflict cap; 0 = unlimited. */
-    uint64_t conflictLimit = 0;
-    int maxIterations = 64;
     /** Print progress to stderr. */
     bool verbose = false;
 };
@@ -159,7 +106,8 @@ SynthesisResult synthesizeControl(oyster::Design &sketch,
 /**
  * Check condition 1 of instruction independence (§3.3.1): decode
  * conditions are pairwise disjoint. Returns Ok, or Unsat with the
- * offending pair named "A/B" in *failed_pair.
+ * offending pair named "A/B" in *failed_pair, or Timeout once opts'
+ * budget runs out.
  */
 SynthStatus checkMutualExclusion(const oyster::Design &design,
                                  const ila::Ila &spec,
@@ -178,7 +126,9 @@ SynthStatus checkMutualExclusion(const oyster::Design &design,
  * control union's selection chains by unit propagation.
  *
  * @return Ok when every instruction verifies; Unsat with the
- *         offending instruction in *failed_instr otherwise.
+ *         offending instruction in *failed_instr otherwise; Timeout
+ *         (naming the instruction not yet proved) once opts' deadline
+ *         passes or its cancel flag fires — polled between queries.
  */
 SynthStatus verifyDesign(const oyster::Design &design,
                          const ila::Ila &spec, const AbsFunc &alpha,

@@ -8,29 +8,30 @@
 namespace owl::exec
 {
 
+sat::Solver::Options
+diversifiedConfig(int i)
+{
+    sat::Solver::Options o;
+    // Config 0 is the deterministic baseline: it guarantees the race
+    // never answers differently from a sequential solve.
+    if (i == 0)
+        return o;
+    o.seed = 1 + static_cast<uint64_t>(i);
+    o.initialPhase = (i % 2) == 1;
+    // Odd configs lean on decision randomness, even ones on restart
+    // pacing, so the portfolio spreads across orthogonal heuristic
+    // axes rather than re-rolling one knob.
+    o.randomDecisionFreq = (i % 2) == 1 ? 0.02 * ((i + 1) / 2) : 0.0;
+    o.restartBase = (i % 3 == 0) ? 50 : (i % 3 == 1 ? 100 : 200);
+    return o;
+}
+
 std::vector<sat::Solver::Options>
-diversifiedConfigs(int k, uint64_t base_seed)
+diversifiedConfigs(int k)
 {
     std::vector<sat::Solver::Options> configs;
-    configs.reserve(k > 0 ? k : 0);
-    for (int i = 0; i < k; i++) {
-        sat::Solver::Options o;
-        if (i == 0) {
-            // The deterministic baseline: guarantees the race never
-            // answers differently from a sequential solve.
-            configs.push_back(o);
-            continue;
-        }
-        o.seed = base_seed + static_cast<uint64_t>(i);
-        o.initialPhase = (i % 2) == 1;
-        // Odd configs lean on decision randomness, even ones on
-        // restart pacing, so the portfolio spreads across orthogonal
-        // heuristic axes rather than re-rolling one knob.
-        o.randomDecisionFreq = (i % 2) == 1 ? 0.02 * ((i + 1) / 2)
-                                            : 0.0;
-        o.restartBase = (i % 3 == 0) ? 50 : (i % 3 == 1 ? 100 : 200);
-        configs.push_back(o);
-    }
+    for (int i = 0; i < k; i++)
+        configs.push_back(diversifiedConfig(i));
     return configs;
 }
 

@@ -49,12 +49,14 @@ struct PortfolioOutcome
 };
 
 /**
- * K diversified solver configurations. Config 0 is the deterministic
- * default; the rest vary the decision RNG, default phase, random
- * decision frequency, and restart pacing around base_seed.
+ * Racer i's solver configuration. Config 0 is the deterministic
+ * default; the rest vary the decision RNG seed, default phase, random
+ * decision frequency, and restart pacing.
  */
-std::vector<sat::Solver::Options> diversifiedConfigs(
-    int k, uint64_t base_seed = 1);
+sat::Solver::Options diversifiedConfig(int i);
+
+/** Configs 0..k-1 of diversifiedConfig(). */
+std::vector<sat::Solver::Options> diversifiedConfigs(int k);
 
 /**
  * Race the configurations on a captured CNF. The calling thread runs

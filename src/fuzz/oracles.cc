@@ -88,18 +88,36 @@ diffPerInstr(const synth::PerInstrResults &a,
  */
 synth::SynthesisResult
 runSynth(const text::Bundle &b, Design &completed,
-         const OracleOptions &oopt, bool preprocess, bool incremental,
-         bool eager_ackermann = false)
+         const synth::SynthesisOptions &sopt)
 {
     completed = *b.design;  // value copy; holes still open
-    synth::SynthesisOptions sopt;
-    sopt.checkProofs = oopt.checkProofs;
-    sopt.preprocess = preprocess;
-    sopt.incremental = incremental;
-    sopt.eagerAckermann = eager_ackermann;
     return synth::synthesizeControl(completed, *b.spec, *b.alpha,
                                     sopt);
 }
+
+/**
+ * Oracles 3-5: one solver knob flipped away from the baseline
+ * configuration must leave the synthesized holes bit-identical (every
+ * path converges to the lexmin model of the same feasible set).
+ */
+struct KnobOracle
+{
+    const char *oracle; ///< also names its fuzz.oracle.* counter
+    const char *baseLabel;    ///< how the baseline run is described
+    const char *variantLabel; ///< how the flipped run is described
+    void (*flip)(synth::SynthesisOptions &);
+};
+
+const KnobOracle kKnobOracles[] = {
+    {"preprocess", "with preprocess", "without",
+     [](synth::SynthesisOptions &o) { o.preprocess = false; }},
+    {"incremental", "incremental", "fresh",
+     [](synth::SynthesisOptions &o) { o.incremental = false; }},
+    // Lazy lemmas-on-demand vs the eager full pair set: trajectories
+    // (and iteration counts) may differ, holes may not.
+    {"ackermann", "lazy", "eager",
+     [](synth::SynthesisOptions &o) { o.eagerAckermann = true; }},
+};
 
 /**
  * Drive the completed design through all four execution engines on
@@ -311,11 +329,12 @@ checkBundle(const text::Bundle &b, const OracleOptions &opt)
     if (!b.complete())
         return out;
 
-    // Baseline synthesis run (incremental + preprocess, the default
-    // configuration). DRAT proofs are checked inside when enabled.
+    // Baseline synthesis run (the default configuration). DRAT
+    // proofs are checked inside when enabled.
+    synth::SynthesisOptions sopt;
+    sopt.checkProofs = opt.checkProofs;
     Design base(""), variant("");
-    synth::SynthesisResult res =
-        runSynth(b, base, opt, true, true);
+    synth::SynthesisResult res = runSynth(b, base, sopt);
     if (res.status != synth::SynthStatus::Ok) {
         out.push_back({"synth",
                        "baseline synthesis failed (" +
@@ -328,52 +347,24 @@ checkBundle(const text::Bundle &b, const OracleOptions &opt)
         return out;
     }
 
-    // Oracle 3: --preprocess vs --no-preprocess, bit-identical holes.
-    OWL_COUNTER_INC("fuzz.oracle.preprocess");
-    synth::SynthesisResult res_np =
-        runSynth(b, variant, opt, false, true);
-    if (res_np.status != res.status) {
-        out.push_back({"preprocess",
-                       "status " + statusName(res.status) +
-                           " with preprocess vs " +
-                           statusName(res_np.status) + " without"});
-    } else if (std::string diff =
-                   diffPerInstr(res.perInstr, res_np.perInstr);
-               !diff.empty()) {
-        out.push_back({"preprocess", "hole mismatch: " + diff});
-    }
-
-    // Oracle 4: incremental sessions vs fresh solvers, bit-identical.
-    OWL_COUNTER_INC("fuzz.oracle.incremental");
-    synth::SynthesisResult res_fr =
-        runSynth(b, variant, opt, true, false);
-    if (res_fr.status != res.status) {
-        out.push_back({"incremental",
-                       "status " + statusName(res.status) +
-                           " incremental vs " +
-                           statusName(res_fr.status) + " fresh"});
-    } else if (std::string diff =
-                   diffPerInstr(res.perInstr, res_fr.perInstr);
-               !diff.empty()) {
-        out.push_back({"incremental", "hole mismatch: " + diff});
-    }
-
-    // Oracle 5: lazy Ackermann lemmas-on-demand vs the eager full
-    // pair set. Every mode converges to the lexmin model of the same
-    // feasible set, so holes must be bit-identical even though the
-    // counterexample trajectories (and iteration counts) may differ.
-    OWL_COUNTER_INC("fuzz.oracle.ackermann");
-    synth::SynthesisResult res_ea =
-        runSynth(b, variant, opt, true, true, true);
-    if (res_ea.status != res.status) {
-        out.push_back({"ackermann",
-                       "status " + statusName(res.status) +
-                           " lazy vs " + statusName(res_ea.status) +
-                           " eager"});
-    } else if (std::string diff =
-                   diffPerInstr(res.perInstr, res_ea.perInstr);
-               !diff.empty()) {
-        out.push_back({"ackermann", "hole mismatch: " + diff});
+    for (const KnobOracle &k : kKnobOracles) {
+        obs::Counter &runs = obs::Registry::instance().counter(
+            std::string("fuzz.oracle.") + k.oracle);
+        if (obs::enabled())
+            runs.add(1);
+        synth::SynthesisOptions vopt = sopt;
+        k.flip(vopt);
+        synth::SynthesisResult vres = runSynth(b, variant, vopt);
+        if (vres.status != res.status) {
+            out.push_back({k.oracle, "status " + statusName(res.status) +
+                                         " " + k.baseLabel + " vs " +
+                                         statusName(vres.status) + " " +
+                                         k.variantLabel});
+        } else if (std::string diff =
+                       diffPerInstr(res.perInstr, vres.perInstr);
+                   !diff.empty()) {
+            out.push_back({k.oracle, "hole mismatch: " + diff});
+        }
     }
 
     // Oracle 2: co-simulate the completed design across engines.

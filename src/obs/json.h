@@ -5,7 +5,7 @@
  *
  * Objects preserve insertion order so emitted stats files are stable
  * across runs and diffs stay readable. Numbers are stored as int64 or
- * double; everything the owl.obs.v1 schema needs fits in that.
+ * double; everything the owl.obs.v2 schema needs fits in that.
  */
 
 #ifndef OWL_OBS_JSON_H

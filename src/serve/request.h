@@ -22,29 +22,29 @@
 
 #include "core/control_union.h"
 #include "obs/json.h"
+#include "smt/solver.h"
 
 namespace owl::serve
 {
 
-/** One synthesis job. */
-struct JobRequest
+/**
+ * One synthesis job. The solver policy is inherited so the server
+ * hands it to CEGIS in one slice assignment, but only three of its
+ * fields are part of the serve contract: the wire keys check_proofs,
+ * preprocess and eager_ackermann. satPortfolio, profileSat and
+ * inprocessConflicts have no wire key and no caller sets them; they
+ * keep their defaults. Every field is part of the warm-pool
+ * fingerprint (SolverConfig::fingerprint), so sessions are never
+ * shared across configs — a warm session's lazily learned lemmas, for
+ * one, are permanent facts of its Ackermann mode.
+ */
+struct JobRequest : smt::SolverConfig
 {
     std::string id;          ///< echoed in the result; may be empty
     std::string design;      ///< registry name (see `owl list`)
     int64_t budgetMs = 0;    ///< per-request deadline; 0 = unlimited
     int maxIterations = 64;  ///< CEGIS iteration cap per instruction
     bool verify = false;     ///< re-verify the completed design
-    bool checkProofs = false;
-    /** CNF pre/inprocessing (CegisOptions::preprocess); default-on. */
-    bool preprocess = true;
-    /**
-     * Eager Ackermann congruence instead of the default
-     * lemmas-on-demand (CegisOptions::eagerAckermann). Part of the
-     * session-pool fingerprint: a warm session's lazily learned
-     * lemmas are permanent facts, so sessions are never shared
-     * across modes.
-     */
-    bool eagerAckermann = false;
     std::string statsJson;   ///< per-request obs export path
 };
 
@@ -53,7 +53,8 @@ struct JobResult
 {
     std::string id;
     std::string design;
-    /** ok | unsat | timeout | iteration-limit | bad-request | error */
+    /** ok | unsat | timeout | iteration-limit | verify-failed |
+     *  bad-request | error */
     std::string status = "ok";
     std::string error;       ///< for bad-request / error
     std::string failedInstr; ///< instruction that broke the run

@@ -174,10 +174,8 @@ Server::processJob(const JobRequest &req)
             auto binding = pool_.bind(dfp, *maker);
 
             synth::CegisOptions copts;
+            static_cast<smt::SolverConfig &>(copts) = req;
             copts.maxIterations = req.maxIterations;
-            copts.checkProofs = req.checkProofs;
-            copts.preprocess = req.preprocess;
-            copts.eagerAckermann = req.eagerAckermann;
             copts.cancelFlag = token.flag();
             if (budget_ms > 0)
                 copts.deadline =
@@ -224,7 +222,10 @@ Server::processJob(const JobRequest &req)
                     synth::SynthStatus v = synth::verifyDesign(
                         cs.sketch, cs.spec, cs.alpha, &failed, copts);
                     if (v != synth::SynthStatus::Ok) {
-                        res.status = "verify-failed";
+                        // An exhausted budget is not a wrong design.
+                        res.status = v == synth::SynthStatus::Timeout
+                                         ? "timeout"
+                                         : "verify-failed";
                         res.failedInstr = failed;
                     }
                 }

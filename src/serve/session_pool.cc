@@ -10,25 +10,10 @@ namespace
 {
 
 /**
- * Session-shaping options baked into an IncrementalContext at
- * construction. A parked session built under different values cannot
- * be handed to this request (its solver fleet or proof sinks would be
- * wrong), so checkout compares fingerprints and rebuilds on mismatch.
+ * A parked session and the SolverConfig::fingerprint() it was built
+ * under: its solver fleet, proof sinks and Ackermann mode are fixed at
+ * construction, so checkout rebuilds on mismatch.
  */
-uint64_t
-optsFingerprint(const synth::CegisOptions &opts)
-{
-    uint64_t fp = static_cast<uint64_t>(opts.satPortfolio);
-    fp = fp * 1099511628211ull + opts.satPortfolioSeed;
-    fp = fp * 1099511628211ull + (opts.checkProofs ? 1 : 0);
-    fp = fp * 1099511628211ull + (opts.preprocess ? 1 : 0);
-    fp = fp * 1099511628211ull + opts.inprocessConflicts;
-    // Lazily learned Ackermann lemmas are permanent session facts, so
-    // a session warmed in one mode must not serve the other.
-    fp = fp * 1099511628211ull + (opts.eagerAckermann ? 1 : 0);
-    return fp;
-}
-
 struct ParkedSession
 {
     std::unique_ptr<synth::SynthSession> session;
@@ -122,7 +107,7 @@ std::unique_ptr<synth::SynthSession>
 WarmSessionPool::Binding::checkout(const std::string &instr_name,
                                    const synth::CegisOptions &opts)
 {
-    uint64_t fp = optsFingerprint(opts);
+    uint64_t fp = opts.fingerprint();
     {
         std::lock_guard<std::mutex> lock(pool.mu);
         slot.lastUse = ++pool.tick;

@@ -4,54 +4,29 @@
 
 #include "base/logging.h"
 #include "exec/portfolio.h"
-#include "lint/diagnostic.h"
 #include "obs/obs.h"
+#include "smt/query_tail.h"
 
 namespace owl::smt
 {
 
-namespace
-{
-
-const char *
-resultName(sat::Result r)
-{
-    switch (r) {
-      case sat::Result::Sat: return "sat";
-      case sat::Result::Unsat: return "unsat";
-      case sat::Result::Unknown: return "unknown";
-    }
-    return "?";
-}
-
-} // namespace
-
 IncrementalContext::IncrementalContext(TermTable &tt_in,
-                                       const IncrementalOptions &o)
-    : tt(tt_in), opts(o), ack(tt_in)
+                                       const SolverConfig &cfg)
+    : tt(tt_in), config(cfg), ack(tt_in)
 {
-    int k = opts.portfolioJobs > 1 ? opts.portfolioJobs : 1;
-    std::vector<sat::Solver::Options> configs =
-        exec::diversifiedConfigs(k, opts.portfolioSeed);
-    // diversifiedConfigs leaves simp at the raw-Solver default (off);
-    // the session maintains the freeze discipline, so it opts in.
-    for (auto &config : configs) {
-        config.simp.enabled = opts.preprocess;
-        config.simp.inprocessConflicts = opts.inprocessConflicts;
-    }
-    captureNeeded = k > 1 || opts.checkProofs;
+    const int k = config.racers();
     // Proof sinks must exist (and stay put) before the first clause:
     // resize once, then never touch the vector again.
-    if (opts.checkProofs)
-        proofs.resize(k);
-    solvers.reserve(k);
+    if (config.checkProofs)
+        proofs.resize(static_cast<size_t>(k));
+    solvers.reserve(static_cast<size_t>(k));
     for (int i = 0; i < k; i++) {
-        solvers.push_back(std::make_unique<sat::Solver>(configs[i]));
-        if (opts.checkProofs)
-            solvers[static_cast<size_t>(i)]->setProofSink(
-                &proofs[static_cast<size_t>(i)]);
+        solvers.push_back(
+            std::make_unique<sat::Solver>(config.satOptions(i)));
+        if (config.checkProofs)
+            solvers.back()->setProofSink(&proofs[static_cast<size_t>(i)]);
     }
-    if (captureNeeded)
+    if (k > 1 || config.checkProofs)
         solvers[0]->setCaptureCnf(&cnf);
     blaster = std::make_unique<BitBlaster>(tt, *solvers[0]);
     // The blaster's ctor allocated the shared true literal on the
@@ -110,12 +85,12 @@ IncrementalContext::registerLeaves(const std::vector<TermRef> &roots)
     // get frozen by the caller's syncSolvers() before simp could
     // eliminate a variable a future lemma clause mentions.
     AckermannManager::Registration reg =
-        ack.registerReads(reads, opts.eagerAckermann);
+        ack.registerReads(reads, config.eagerAckermann);
     for (TermRef r : reg.newReads) {
         if (leafSeen.insert(r.idx).second)
             modelLeaves.push_back(r);
     }
-    if (!opts.eagerAckermann) {
+    if (!config.eagerAckermann) {
         for (size_t i = 0; i < reg.newReads.size(); i++) {
             blaster->blast(reg.newReads[i]);
             blaster->blast(reg.addresses[i]);
@@ -260,7 +235,7 @@ IncrementalContext::addGroup(const std::vector<TermRef> &assertions)
 }
 
 CheckResult
-IncrementalContext::check(Model *model, const SolveLimits &limits,
+IncrementalContext::check(Model *model, const SolveBudget &budget,
                           CheckStats *stats,
                           const std::vector<sat::Lit> &extra_assumptions)
 {
@@ -272,22 +247,19 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
     lastWinner = -1;
     lastConditional = false;
     if (rootUnsat) {
-        if (opts.checkProofs)
-            OWL_COUNTER_INC("drat.unsat_trivial");
-        span.attr("result", "unsat-trivial");
+        // Refuted in the term DAG by a permanent assertion.
+        detail::QueryTail tail;
+        tail.result = sat::Result::Unsat;
+        tail.trivial = true;
+        tail.startNs = q_start;
+        tail.satVars = solvers[0]->numVars();
+        tail.ackermann = istats.ackermannConstraints;
+        detail::finishQuery(span, config, tail);
         if (stats) {
             *stats = CheckStats{};
             stats->satVars = solvers[0]->numVars();
             stats->termNodes = tt.numNodes();
             stats->ackermannConstraints = istats.ackermannConstraints;
-        }
-        if (obs::enabled()) {
-            OWL_HISTOGRAM_RECORD("smt.query_ns",
-                                 obs::nowNs() - q_start);
-            OWL_HISTOGRAM_RECORD("smt.query_conflicts", 0);
-            OWL_HISTOGRAM_RECORD("smt.query_ackermann",
-                                 istats.ackermannConstraints);
-            OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", 0);
         }
         return CheckResult::Unsat;
     }
@@ -316,26 +288,26 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
     sat::Result r;
     int winner;
     uint64_t ack_rounds = 0, ack_scans = 0, ack_lemmas = 0;
-    const bool lazy = !opts.eagerAckermann;
+    const bool lazy = !config.eagerAckermann;
     while (true) {
         if (solvers.size() == 1) {
             sat::Solver &s = *solvers[0];
-            s.setTimeLimit(limits.timeLimit);
-            s.setConflictLimit(limits.conflictLimit);
-            s.setCancelFlag(limits.cancelFlag);
-            s.setPhaseProfiling(limits.profileSat);
+            s.setTimeLimit(budget.timeLimit);
+            s.setConflictLimit(budget.conflictLimit);
+            s.setCancelFlag(budget.cancelFlag);
+            s.setPhaseProfiling(config.profileSat);
             r = s.solve(assumptions);
             winner = 0;
         } else {
             std::vector<sat::Solver *> racers;
             racers.reserve(solvers.size());
             for (const auto &s : solvers) {
-                s->setPhaseProfiling(limits.profileSat);
+                s->setPhaseProfiling(config.profileSat);
                 racers.push_back(s.get());
             }
             exec::SolverRaceOutcome out = exec::raceSolvers(
-                racers, assumptions, limits.timeLimit,
-                limits.conflictLimit, limits.cancelFlag);
+                racers, assumptions, budget.timeLimit,
+                budget.conflictLimit, budget.cancelFlag);
             r = out.result;
             winner = out.winner;
             span.attr("portfolio_winner", winner);
@@ -381,51 +353,33 @@ IncrementalContext::check(Model *model, const SolveLimits &limits,
                       solvers[static_cast<size_t>(winner)]
                           ->lastUnsatWasConditional();
 
-    // Certify unconditional Unsat verdicts: the winner's session-long
-    // proof (every lemma and deletion since the context was built)
-    // replays against the captured input clauses. Conditional verdicts
-    // carry no proof obligation — the formula was not refuted and no
-    // empty clause was emitted — so they are booked separately.
-    bool proof_checked = false;
-    size_t proof_steps = 0;
-    if (opts.checkProofs && r == sat::Result::Unsat && winner >= 0) {
-        const sat::DratProof &proof = proofs[static_cast<size_t>(winner)];
-        proof_steps = proof.size();
-        if (lastConditional) {
-            OWL_COUNTER_INC("drat.unsat_conditional");
-        } else {
-            obs::ScopedSpan drat_span("smt.checkDrat");
-            lint::Report drat_report;
-            if (!sat::checkDrat(cnf, proof, &drat_report)) {
-                owl_panic(
-                    "UNSAT verdict failed DRAT proof replay (",
-                    proof.size(), " steps, ", cnf.clauses.size(),
-                    " clauses, incremental session):\n",
-                    drat_report.toString());
-            }
-            proof_checked = true;
-            drat_span.attr("steps", proof.size());
-            OWL_COUNTER_INC("drat.proofs_checked");
-            OWL_COUNTER_ADD("drat.proof_steps", proof.size());
-        }
-    }
-
     int stat_idx = winner >= 0 ? winner : 0;
     const sat::Stats &post = solvers[static_cast<size_t>(stat_idx)]->stats();
     uint64_t d_conflicts = post.conflicts - pre[stat_idx].conflicts;
     uint64_t d_props = post.propagations - pre[stat_idx].propagations;
-    span.attr("result", resultName(r));
-    span.attr("sat_vars", static_cast<int64_t>(solvers[0]->numVars()));
-    span.attr("conflicts", d_conflicts);
-    if (obs::enabled()) {
-        OWL_HISTOGRAM_RECORD("smt.query_ns", obs::nowNs() - q_start);
-        OWL_HISTOGRAM_RECORD("smt.query_conflicts", d_conflicts);
-        OWL_HISTOGRAM_RECORD("smt.query_ackermann",
-                             istats.ackermannConstraints);
-        OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", ack_rounds);
-    }
+
+    // An unconditional Unsat replays the winner's session-long proof
+    // (every lemma and deletion since the context was built) against
+    // the captured input clauses.
+    const sat::DratProof *proof =
+        config.checkProofs && winner >= 0
+            ? &proofs[static_cast<size_t>(winner)]
+            : nullptr;
+    detail::QueryTail tail;
+    tail.result = r;
+    tail.conditional = lastConditional;
+    tail.cnf = &cnf;
+    tail.proof = proof;
+    tail.startNs = q_start;
+    tail.satVars = solvers[0]->numVars();
+    tail.conflicts = d_conflicts;
+    tail.ackermann = istats.ackermannConstraints;
+    tail.ackRounds = ack_rounds;
+    bool proof_checked = detail::finishQuery(span, config, tail);
+    size_t proof_steps =
+        proof && r == sat::Result::Unsat ? proof->size() : 0;
     OWL_TRACE_EVENT("smt", "checkSat(incremental) result=",
-                    resultName(r), " groups=", activations.size(),
+                    detail::resultName(r), " groups=", activations.size(),
                     " terms=", tt.numNodes(),
                     " sat_vars=", solvers[0]->numVars(),
                     " ack_rounds=", ack_rounds,

@@ -52,47 +52,6 @@
 namespace owl::smt
 {
 
-/**
- * Session-level policy for an IncrementalContext. Unlike SolveLimits
- * (per call), these shape the solver fleet itself and are fixed at
- * construction: racers and proof sinks must exist before the first
- * clause lands.
- */
-struct IncrementalOptions
-{
-    /**
-     * >1 keeps that many diversified persistent solvers and races
-     * them on every check() (exec::raceSolvers). Racer 0 is always
-     * the deterministic default configuration.
-     */
-    int portfolioJobs = 0;
-    uint64_t portfolioSeed = 1; ///< base seed for diversification
-    /**
-     * Keep per-racer session-long DRAT proofs and replay the winner's
-     * through sat::checkDrat on every unconditional Unsat verdict.
-     */
-    bool checkProofs = false;
-    /**
-     * Enable SatELite-style pre/inprocessing in every session solver
-     * (sat::SimpOptions). The context maintains the freeze discipline
-     * it requires: every bit-blast cache output and every activation
-     * literal is frozen on every racer before it can be eliminated,
-     * and solve() freezes per-call assumption variables itself.
-     */
-    bool preprocess = true;
-    /** Inprocessing cadence (sat::SimpOptions::inprocessConflicts). */
-    uint64_t inprocessConflicts = 20000;
-    /**
-     * Instantiate Ackermann congruences for memory base reads eagerly
-     * (the full pair set at registration) instead of the default
-     * lemmas-on-demand refinement inside check() (DESIGN.md §14).
-     * Session-level because lazily learned lemmas are permanent
-     * session facts; mixing modes mid-session would double-book
-     * pairs.
-     */
-    bool eagerAckermann = false;
-};
-
 /** Cumulative counters for one incremental session. */
 struct IncrementalStats
 {
@@ -149,9 +108,17 @@ struct IncrementalStats
  * violated congruence instances — as permanent session facts, since
  * congruence is a property of the read UF, not of any one query — and
  * re-solves until the model is clean or Unsat (DESIGN.md §14).
- * IncrementalOptions::eagerAckermann instead pairs each new batch
+ * SolverConfig::eagerAckermann instead pairs each new batch
  * against every read seen before it, so the session carries exactly
  * the constraints a from-scratch eager encode of the union would.
+ *
+ * The session is built under one SolverConfig and keeps it: racers,
+ * proof sinks, and the Ackermann mode must exist before the first
+ * clause lands, and lazily learned lemmas are permanent session facts
+ * that must not be mixed with eager ones. With preprocess on, the
+ * context keeps the freeze discipline simp needs: every bit-blast
+ * cache output and activation literal is frozen on every racer before
+ * it can be eliminated.
  *
  * The TermTable must outlive the context and must not be used with a
  * second context concurrently (blast-cache keying assumes node
@@ -161,7 +128,7 @@ class IncrementalContext
 {
   public:
     explicit IncrementalContext(TermTable &tt,
-                                const IncrementalOptions &opts = {});
+                                const SolverConfig &config = {});
     ~IncrementalContext();
     IncrementalContext(const IncrementalContext &) = delete;
     IncrementalContext &operator=(const IncrementalContext &) = delete;
@@ -196,10 +163,8 @@ class IncrementalContext
     int generation() const { return gen; }
 
     /**
-     * Solve everything asserted so far. limits.portfolioJobs and
-     * limits.checkProofs are ignored — those are session-level here
-     * (IncrementalOptions); time/conflict/cancel limits apply per
-     * call.
+     * Solve everything asserted so far under the session's
+     * SolverConfig and this call's budget.
      *
      * @param extra_assumptions additional literals assumed true for
      *        this call only, on top of the group activation literals.
@@ -207,7 +172,7 @@ class IncrementalContext
      *        canonicalization probes individual hole bits this way).
      */
     CheckResult check(Model *model = nullptr,
-                      const SolveLimits &limits = {},
+                      const SolveBudget &budget = {},
                       CheckStats *stats = nullptr,
                       const std::vector<sat::Lit> &extra_assumptions = {});
 
@@ -241,8 +206,7 @@ class IncrementalContext
 
   private:
     TermTable &tt;
-    IncrementalOptions opts;
-    bool captureNeeded = false;
+    const SolverConfig config;
     /** A permanent assertion folded to constant false. */
     bool rootUnsat = false;
 

@@ -9,6 +9,7 @@
 #include "sat/drat.h"
 #include "smt/ackermann.h"
 #include "smt/bitblast.h"
+#include "smt/query_tail.h"
 
 namespace owl::smt
 {
@@ -46,11 +47,29 @@ Model::toAssignment(const TermTable &tt) const
     return asg;
 }
 
-namespace
+sat::Solver::Options
+SolverConfig::satOptions(int racer) const
 {
+    sat::Solver::Options o = exec::diversifiedConfig(racer);
+    o.simp.enabled = preprocess;
+    o.simp.inprocessConflicts = inprocessConflicts;
+    return o;
+}
+
+uint64_t
+SolverConfig::fingerprint() const
+{
+    uint64_t fp = static_cast<uint64_t>(satPortfolio);
+    for (uint64_t field :
+         {uint64_t{checkProofs}, uint64_t{profileSat},
+          uint64_t{preprocess}, inprocessConflicts,
+          uint64_t{eagerAckermann}})
+        fp = fp * 1099511628211ull + field;
+    return fp;
+}
 
 const char *
-checkResultName(sat::Result r)
+detail::resultName(sat::Result r)
 {
     switch (r) {
       case sat::Result::Sat: return "sat";
@@ -60,7 +79,42 @@ checkResultName(sat::Result r)
     return "?";
 }
 
-} // namespace
+bool
+detail::finishQuery(obs::ScopedSpan &span, const SolverConfig &cfg,
+                    const QueryTail &q)
+{
+    bool checked = false;
+    if (cfg.checkProofs && q.result == sat::Result::Unsat) {
+        if (q.trivial) {
+            OWL_COUNTER_INC("drat.unsat_trivial");
+        } else if (q.conditional) {
+            OWL_COUNTER_INC("drat.unsat_conditional");
+        } else {
+            obs::ScopedSpan drat_span("smt.checkDrat");
+            lint::Report drat_report;
+            if (!sat::checkDrat(*q.cnf, *q.proof, &drat_report)) {
+                owl_panic("UNSAT verdict failed DRAT proof replay (",
+                          q.proof->size(), " steps, ",
+                          q.cnf->clauses.size(), " clauses):\n",
+                          drat_report.toString());
+            }
+            checked = true;
+            drat_span.attr("steps", q.proof->size());
+            OWL_COUNTER_INC("drat.proofs_checked");
+            OWL_COUNTER_ADD("drat.proof_steps", q.proof->size());
+        }
+    }
+    span.attr("result", q.trivial ? "unsat-trivial" : resultName(q.result));
+    span.attr("sat_vars", q.satVars);
+    span.attr("conflicts", q.conflicts);
+    if (obs::enabled()) {
+        OWL_HISTOGRAM_RECORD("smt.query_ns", obs::nowNs() - q.startNs);
+        OWL_HISTOGRAM_RECORD("smt.query_conflicts", q.conflicts);
+        OWL_HISTOGRAM_RECORD("smt.query_ackermann", q.ackermann);
+        OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", q.ackRounds);
+    }
+    return checked;
+}
 
 CheckResult
 checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
@@ -114,24 +168,16 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
     // checker and portfolio racers need. Terminates because every
     // round instantiates at least one new pair from the finite pair
     // set (smt/ackermann.h).
-    sat::Solver::Options solver_opts;
-    solver_opts.simp.enabled = limits.preprocess;
-    solver_opts.simp.inprocessConflicts = limits.inprocessConflicts;
-
-    // Portfolio mode: record the bit-blasted formula so diversified
-    // racers can replay it with identical variable numbering. Proof
-    // checking records it too — the DRAT checker replays the proof
-    // against exactly these clauses.
-    bool use_portfolio = limits.portfolioJobs > 1;
+    //
+    // Portfolio mode races the captured CNF (identical variable
+    // numbering) across diversified configs; proof checking captures
+    // it too — the DRAT checker replays against exactly these clauses.
     std::vector<sat::Solver::Options> configs;
-    if (use_portfolio) {
-        configs = exec::diversifiedConfigs(limits.portfolioJobs,
-                                           limits.portfolioSeed);
-        for (auto &config : configs) {
-            config.simp.enabled = limits.preprocess;
-            config.simp.inprocessConflicts = limits.inprocessConflicts;
-        }
+    if (limits.racers() > 1) {
+        for (int i = 0; i < limits.racers(); i++)
+            configs.push_back(limits.satOptions(i));
     }
+    const bool use_portfolio = !configs.empty();
 
     std::unique_ptr<sat::Solver> solver;
     std::unique_ptr<BitBlaster> blaster;
@@ -158,7 +204,7 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
         OWL_COUNTER_ADD("smt.ackermann_constraints", seeded.size());
     }
     while (true) {
-        solver = std::make_unique<sat::Solver>(solver_opts);
+        solver = std::make_unique<sat::Solver>(limits.satOptions());
         if (limits.timeLimit.count() > 0)
             solver->setTimeLimit(limits.timeLimit);
         if (limits.conflictLimit > 0)
@@ -201,8 +247,10 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
             bb_span.attr("terms",
                          static_cast<int64_t>(tt.numNodes()));
         }
-        if (trivially_false)
+        if (trivially_false) {
+            r = sat::Result::Unsat;
             break;
+        }
         // Warm-start refinement rounds from the previous round's
         // model: the shared encoding prefix has identical variable
         // numbering, so search only repairs around the new lemmas.
@@ -258,63 +306,24 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
     if (lazy && limits.ackermannSeeds)
         ack.exportInstantiated(*limits.ackermannSeeds);
 
-    if (trivially_false) {
-        // A constant-false assertion is refuted in the term DAG before
-        // any clause exists; there is no SAT proof to replay, and none
-        // is needed — the verdict is by evaluation, not by search.
-        if (limits.checkProofs)
-            OWL_COUNTER_INC("drat.unsat_trivial");
-        span.attr("result", "unsat-trivial");
-        if (obs::enabled()) {
-            OWL_HISTOGRAM_RECORD("smt.query_ns",
-                                 obs::nowNs() - q_start);
-            OWL_HISTOGRAM_RECORD("smt.query_conflicts", 0);
-            OWL_HISTOGRAM_RECORD("smt.query_ackermann", n_ack);
-            OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", ack_rounds);
-        }
+    // A constant-false assertion is refuted in the term DAG before any
+    // clause exists; the verdict is by evaluation, not by search, so
+    // there is no proof to replay. This path solves without
+    // assumptions, so no Unsat is conditional.
+    detail::QueryTail tail;
+    tail.result = r;
+    tail.trivial = trivially_false;
+    tail.cnf = &cnf;
+    tail.proof = &proof;
+    tail.startNs = q_start;
+    tail.satVars = solver->numVars();
+    tail.conflicts = run_stats.conflicts;
+    tail.ackermann = n_ack;
+    tail.ackRounds = ack_rounds;
+    bool proof_checked = detail::finishQuery(span, limits, tail);
+    if (trivially_false)
         return CheckResult::Unsat;
-    }
-
-    // Certify Unsat verdicts: replay the recorded DRAT proof through
-    // the independent forward checker. CEGIS trusts Unsat twice over
-    // (verify says "no counterexample" -> the candidate ships), so a
-    // proof that does not check is treated as a solver bug and panics
-    // instead of returning an unsound verdict. Conditional Unsat
-    // (under assumptions; cannot occur on this assumption-free path,
-    // but the routing is shared with the incremental context) carries
-    // no proof obligation and is booked separately.
-    bool proof_checked = false;
-    bool unsat_conditional =
-        r == sat::Result::Unsat && !use_portfolio &&
-        solver->lastUnsatWasConditional();
-    if (limits.checkProofs && r == sat::Result::Unsat) {
-        if (unsat_conditional) {
-            OWL_COUNTER_INC("drat.unsat_conditional");
-        } else {
-            obs::ScopedSpan drat_span("smt.checkDrat");
-            lint::Report drat_report;
-            if (!sat::checkDrat(cnf, proof, &drat_report)) {
-                owl_panic("UNSAT verdict failed DRAT proof replay (",
-                          proof.size(), " steps, ", cnf.clauses.size(),
-                          " clauses):\n", drat_report.toString());
-            }
-            proof_checked = true;
-            drat_span.attr("steps", proof.size());
-            OWL_COUNTER_INC("drat.proofs_checked");
-            OWL_COUNTER_ADD("drat.proof_steps", proof.size());
-        }
-    }
-    span.attr("result", checkResultName(r));
-    span.attr("sat_vars", static_cast<int64_t>(solver->numVars()));
-    span.attr("conflicts", run_stats.conflicts);
-    if (obs::enabled()) {
-        OWL_HISTOGRAM_RECORD("smt.query_ns", obs::nowNs() - q_start);
-        OWL_HISTOGRAM_RECORD("smt.query_conflicts",
-                             run_stats.conflicts);
-        OWL_HISTOGRAM_RECORD("smt.query_ackermann", n_ack);
-        OWL_HISTOGRAM_RECORD("smt.query_ack_rounds", ack_rounds);
-    }
-    OWL_TRACE_EVENT("smt", "checkSat result=", checkResultName(r),
+    OWL_TRACE_EVENT("smt", "checkSat result=", detail::resultName(r),
                     " assertions=", assertions.size(),
                     " terms=", tt.numNodes(),
                     " sat_vars=", solver->numVars(),
@@ -332,7 +341,6 @@ checkSat(TermTable &tt, const std::vector<TermRef> &assertions,
         stats->termNodes = tt.numNodes();
         stats->proofChecked = proof_checked;
         stats->proofSteps = proof.size();
-        stats->unsatConditional = unsat_conditional;
     }
     switch (r) {
       case sat::Result::Unsat:

@@ -9,7 +9,7 @@
  * Ackermann expansion removes the UF). By default congruences are
  * instantiated lazily — solve, scan the model for read-consistency
  * violations, assert only the violated instances, re-solve
- * (smt/ackermann.h, DESIGN.md §14); SolveLimits::eagerAckermann
+ * (smt/ackermann.h, DESIGN.md §14); SolverConfig::eagerAckermann
  * restores the up-front quadratic expansion.
  */
 
@@ -20,7 +20,9 @@
 #include <chrono>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
+#include "sat/solver.h"
 #include "smt/term.h"
 
 namespace owl::smt
@@ -48,64 +50,90 @@ class Model
     std::unordered_map<uint32_t, BitVec> leafValues;
 };
 
-/** Resource limits and execution policy for a single checkSat call. */
-struct SolveLimits
+/**
+ * The satisfiability oracle's policy: how every SAT solver behind a
+ * checkSat() call or an IncrementalContext session is configured.
+ * Declared once, here, and inherited by every options struct that
+ * carries it (SolveLimits, synth::CegisOptions,
+ * synth::SynthesisOptions, serve::JobRequest), so each layer hands it
+ * down with one slice assignment.
+ * DESIGN.md §7.1 tabulates each knob's CLI flag, serve key, default
+ * and consumer.
+ */
+struct SolverConfig
+{
+    /**
+     * >1 races that many diversified CDCL configurations per query
+     * (owl::exec::Portfolio; `owl synth --portfolio K`) and takes the
+     * first definitive answer. Verdicts match a sequential solve, but
+     * the *model* of a Sat query depends on which config wins.
+     */
+    int satPortfolio = 0;
+    /**
+     * Record a DRAT proof during CDCL search and replay it through the
+     * independent forward checker (sat::checkDrat) whenever the
+     * verdict is an unconditional Unsat — the winning racer's proof
+     * under portfolio mode. A proof that fails to check is a solver
+     * bug and panics rather than returning an unsound Unsat
+     * (`owl synth --check-proofs`).
+     */
+    bool checkProofs = false;
+    /**
+     * Enable the CDCL phase profiler on every solver
+     * (sat::Solver::setPhaseProfiling), exported as sat.phase.*
+     * counters (`owl synth --profile-sat`).
+     */
+    bool profileSat = false;
+    /**
+     * SatELite-style pre/inprocessing (sat::SimpOptions) on every
+     * solver (`owl synth --no-preprocess` opts out). Incremental
+     * sessions keep the freeze discipline it needs; holes are
+     * bit-identical either way (lexmin canonicalization).
+     */
+    bool preprocess = true;
+    /**
+     * Conflicts between inprocessing rounds at restart boundaries;
+     * 0 keeps solve-entry preprocessing only (`owl synth --inprocess
+     * N`). Only meaningful with preprocess on.
+     */
+    uint64_t inprocessConflicts = sat::SimpOptions{}.inprocessConflicts;
+    /**
+     * Instantiate the full quadratic set of Ackermann congruences for
+     * memory base reads up front instead of the default
+     * lemmas-on-demand refinement (DESIGN.md §14;
+     * `owl synth --eager-ackermann`). Verdicts and lexmin holes are
+     * identical either way.
+     */
+    bool eagerAckermann = false;
+
+    /** Solvers per query: satPortfolio when racing, else one. */
+    int racers() const { return satPortfolio > 1 ? satPortfolio : 1; }
+    /**
+     * The sat::Solver::Options of racer i: exec::diversifiedConfig(i)
+     * (racer 0 is the deterministic default search) with this
+     * config's pre/inprocessing settings.
+     */
+    sat::Solver::Options satOptions(int racer = 0) const;
+    /**
+     * Hash of every field. Sessions are built under one config and
+     * keep it (IncrementalContext), so serve's warm pool only hands a
+     * parked session to a request with the same fingerprint.
+     */
+    uint64_t fingerprint() const;
+};
+
+/** How long one solve may run. */
+struct SolveBudget
 {
     std::chrono::milliseconds timeLimit{0}; ///< 0 = unlimited
     uint64_t conflictLimit = 0;             ///< 0 = unlimited
     /** Cooperative cancellation (polled by the SAT loop); may be null. */
     const std::atomic<bool> *cancelFlag = nullptr;
-    /**
-     * >1 races that many diversified CDCL configurations on the
-     * bit-blasted formula (owl::exec::Portfolio) and takes the first
-     * definitive answer. The answer matches a sequential solve but
-     * the *model* of a Sat query depends on which config wins — keep
-     * this off where bit-reproducible counterexamples matter.
-     */
-    int portfolioJobs = 0;
-    uint64_t portfolioSeed = 1; ///< base seed for diversification
-    /**
-     * Record a DRAT proof during CDCL search and replay it through the
-     * independent forward checker (sat::checkDrat) whenever the
-     * verdict is Unsat — including the winning racer's proof under
-     * portfolio mode. A proof that fails to check is a solver bug and
-     * panics rather than returning an unsound Unsat. Adds proof
-     * logging overhead to every solve, so this is opt-in
-     * (`owl synth --check-proofs`).
-     */
-    bool checkProofs = false;
-    /**
-     * Enable the CDCL phase profiler on every solver this call
-     * creates (sat::Solver::setPhaseProfiling): stride-sampled
-     * attribution of solve time to propagate/analyze/decide/
-     * reduceDb/restart, exported as sat.phase.* counters. Opt-in
-     * (`owl synth --profile-sat`); near-zero overhead when off.
-     */
-    bool profileSat = false;
-    /**
-     * Enable SatELite-style pre/inprocessing (sat::SimpOptions) on
-     * every solver this call creates. A fresh checkSat solves exactly
-     * once with no assumptions, so nothing needs freezing; model
-     * reconstruction keeps returned models complete. Default-on;
-     * `owl synth --no-preprocess` opts out pipeline-wide.
-     */
-    bool preprocess = true;
-    /**
-     * Conflicts between inprocessing rounds at restart boundaries
-     * (sat::SimpOptions::inprocessConflicts); 0 disables inprocessing
-     * while keeping solve-entry preprocessing. Only meaningful with
-     * preprocess on (`owl synth --inprocess N`).
-     */
-    uint64_t inprocessConflicts = 20000;
-    /**
-     * Instantiate the full quadratic set of Ackermann congruence
-     * constraints for memory base reads up front instead of the
-     * default lemmas-on-demand refinement loop (DESIGN.md §14).
-     * Verdicts and (lexmin-canonicalized) hole models are identical
-     * either way; the escape hatch exists for A/B comparison
-     * (`owl synth --eager-ackermann`, bench_ackermann).
-     */
-    bool eagerAckermann = false;
+};
+
+/** Policy, budget and lemma cache of one checkSat() call. */
+struct SolveLimits : SolverConfig, SolveBudget
+{
     /**
      * Optional cross-query lemma cache for the lazy refinement loop
      * (smt/ackermann.h). When set, previously violated congruence

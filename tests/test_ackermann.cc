@@ -302,7 +302,7 @@ TEST(Ackermann, IncrementalProofReplayOnRefinementUnsat)
     TermRef y = tt.freshVar("y", 6);
     TermRef r1 = tt.baseRead(0, x, 12);
     TermRef r2 = tt.baseRead(0, y, 12);
-    IncrementalOptions o;
+    SolverConfig o;
     o.checkProofs = true;
     IncrementalContext ctx(tt, o);
     ctx.assertPermanent(tt.mkEq(x, y));

@@ -39,6 +39,25 @@ TEST(CoreAccumulator, SynthesizesAndVerifies)
         << "verification failed at " << failed;
 }
 
+TEST(CoreAccumulator, VerifyHonorsExpiredDeadline)
+{
+    // Each verify query is far below the CDCL deadline-poll stride, so
+    // only the checks between queries can see a deadline in the past.
+    CaseStudy cs = makeAccumulator();
+    ASSERT_EQ(synthesizeControl(cs.sketch, cs.spec, cs.alpha).status,
+              SynthStatus::Ok);
+    CegisOptions opts;
+    opts.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    std::string failed;
+    EXPECT_EQ(verifyDesign(cs.sketch, cs.spec, cs.alpha, &failed, opts),
+              SynthStatus::Timeout);
+    EXPECT_EQ(failed, cs.spec.instrs().front()->name());
+    EXPECT_EQ(checkMutualExclusion(cs.sketch, cs.spec, cs.alpha, nullptr,
+                                   opts),
+              SynthStatus::Timeout);
+}
+
 TEST(CoreAccumulator, TransitionTargetsMatchSpec)
 {
     CaseStudy cs = makeAccumulator();

@@ -122,8 +122,8 @@ TEST(Incremental, PortfolioRacersAgree)
     for (int jobs : {2, 3}) {
         TermTable tt;
         TermRef x = tt.freshVar("x", 6);
-        IncrementalOptions o;
-        o.portfolioJobs = jobs;
+        SolverConfig o;
+        o.satPortfolio = jobs;
         IncrementalContext ctx(tt, o);
         ctx.addGroup({tt.mkEq(tt.mkMul(x, x), tt.constant(6, 25))});
         Model model;
@@ -140,7 +140,7 @@ TEST(Incremental, SessionProofCheckOnUnconditionalUnsat)
 {
     TermTable tt;
     TermRef x = tt.freshVar("x", 3);
-    IncrementalOptions o;
+    SolverConfig o;
     o.checkProofs = true;
     IncrementalContext ctx(tt, o);
     ctx.assertPermanent(tt.mkUlt(x, tt.constant(3, 4)));

@@ -397,7 +397,7 @@ TEST(Drat, CheckSatReplaysWinningRacersProofUnderPortfolio)
     smt::TermRef b = tt.freshVar("b", 8);
     smt::SolveLimits limits;
     limits.checkProofs = true;
-    limits.portfolioJobs = 2;
+    limits.satPortfolio = 2;
     smt::CheckStats stats;
     smt::CheckResult r =
         smt::checkSat(tt, {tt.mkUlt(a, b), tt.mkUlt(b, a)}, nullptr,

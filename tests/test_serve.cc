@@ -302,24 +302,36 @@ TEST(ServePool, RebuildsOnIncompatibleOptions)
     uint64_t dfp = designFingerprint(cs->sketch, cs->spec, cs->alpha);
     std::string instr = cs->spec.instrs().front()->name();
 
-    WarmSessionPool pool(4);
-    synth::CegisOptions plain;
-    {
-        auto binding = pool.bind(dfp, *maker);
-        binding->checkin(binding->checkout(instr, plain));
+    // A session keeps the SolverConfig it was built under (solver
+    // fleet, proof sinks, Ackermann mode, ...), so flipping any one
+    // field must rebuild instead of reusing the parked session.
+    using Flip = void (*)(synth::CegisOptions &);
+    const std::pair<const char *, Flip> flips[] = {
+        {"satPortfolio", [](synth::CegisOptions &o) { o.satPortfolio = 3; }},
+        {"checkProofs", [](synth::CegisOptions &o) { o.checkProofs = true; }},
+        {"profileSat", [](synth::CegisOptions &o) { o.profileSat = true; }},
+        {"preprocess", [](synth::CegisOptions &o) { o.preprocess = false; }},
+        {"inprocessConflicts",
+         [](synth::CegisOptions &o) { o.inprocessConflicts = 0; }},
+        {"eagerAckermann",
+         [](synth::CegisOptions &o) { o.eagerAckermann = true; }},
+    };
+    for (const auto &[field, flip] : flips) {
+        SCOPED_TRACE(field);
+        WarmSessionPool pool(4);
+        synth::CegisOptions plain, flipped;
+        flip(flipped);
+        for (const synth::CegisOptions *opts : {&plain, &flipped, &flipped}) {
+            auto binding = pool.bind(dfp, *maker);
+            auto s = binding->checkout(instr, *opts);
+            ASSERT_NE(s, nullptr);
+            binding->checkin(std::move(s));
+        }
+        // The flipped config was built once, then reused as-is.
+        SessionPoolStats st = pool.stats();
+        EXPECT_EQ(st.created, 2u);
+        EXPECT_EQ(st.reused, 1u);
     }
-    // A portfolio run cannot reuse a single-solver session.
-    synth::CegisOptions portfolio;
-    portfolio.satPortfolio = 3;
-    {
-        auto binding = pool.bind(dfp, *maker);
-        auto s = binding->checkout(instr, portfolio);
-        ASSERT_NE(s, nullptr);
-        binding->checkin(std::move(s));
-    }
-    SessionPoolStats st = pool.stats();
-    EXPECT_EQ(st.created, 2u);
-    EXPECT_EQ(st.reused, 0u);
 }
 
 TEST(ServePool, EvictsColdSlotsButNeverPinnedOnes)
@@ -455,6 +467,27 @@ TEST(ServeServer, VerifyFlagRunsEndToEnd)
     std::vector<JobResult> results = server.runBatch({req});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, "ok");
+}
+
+TEST(ServeServer, VerifyOutOfBudgetIsTimeoutNotFailure)
+{
+    // A budget that runs out during the verify pass is a timeout, not
+    // a failed verification of a correct design. The first job warms
+    // the cache, so the later ones answer synthesis from cache hits
+    // and reach the verify pass within a few milliseconds; the sweep
+    // of budgets lands some of them inside it.
+    Server server;
+    JobResult warm = server.runBatch({job("accumulator")})[0];
+    ASSERT_EQ(warm.status, "ok");
+    for (int64_t ms : {1, 2, 3, 5, 8, 13, 21}) {
+        JobRequest req = job("accumulator");
+        req.verify = true;
+        req.budgetMs = ms;
+        JobResult r = server.runBatch({req})[0];
+        EXPECT_TRUE(r.status == "ok" || r.status == "timeout")
+            << "budget " << ms << " ms: " << r.status << " at "
+            << r.failedInstr;
+    }
 }
 
 TEST(ServeServer, SubmitAfterShutdownThrows)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Validate owl JSON artifacts against their schemas.
 
-Understands three schemas, dispatched on the document's "schema" key:
-  owl.obs.v1    legacy stats exports (counters + span forest + meta)
-  owl.obs.v2    v1 plus histograms, open_spans, and per-span lanes
+Understands two schemas, dispatched on the document's "schema" key:
+  owl.obs.v2    stats exports (counters, span forest with per-span
+                lanes, histograms, open_spans, meta)
   owl.bench.v1  bench trajectory entries (tools/bench_runner.py)
 
 Usage:
@@ -30,7 +30,7 @@ import subprocess
 import sys
 import tempfile
 
-OBS_SCHEMAS = ("owl.obs.v1", "owl.obs.v2")
+OBS_SCHEMA = "owl.obs.v2"
 BENCH_SCHEMA = "owl.bench.v1"
 
 
@@ -46,7 +46,7 @@ def is_uint(v):
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def check_span(span, path, v2):
+def check_span(span, path):
     if not isinstance(span, dict):
         fail(path, "span is not an object")
     for key, typ in (("name", str), ("start_ns", int), ("dur_ns", int)):
@@ -56,11 +56,10 @@ def check_span(span, path, v2):
             fail(path, "span key %r must be %s" % (key, typ.__name__))
     if span["start_ns"] < 0 or span["dur_ns"] < 0:
         fail(path, "span times must be non-negative")
-    if v2:
-        if "lane" not in span:
-            fail(path, "v2 span missing required key 'lane'")
-        if not is_uint(span["lane"]):
-            fail(path, "span lane must be a non-negative integer")
+    if "lane" not in span:
+        fail(path, "span missing required key 'lane'")
+    if not is_uint(span["lane"]):
+        fail(path, "span lane must be a non-negative integer")
     attrs = span.get("attrs", {})
     if not isinstance(attrs, dict):
         fail(path, "attrs must be an object")
@@ -73,7 +72,7 @@ def check_span(span, path, v2):
     if not isinstance(children, list):
         fail(path, "children must be an array")
     for i, child in enumerate(children):
-        check_span(child, "%s/children[%d]" % (path, i), v2)
+        check_span(child, "%s/children[%d]" % (path, i))
 
 
 def span_names(spans):
@@ -118,8 +117,6 @@ def check_histogram(name, h, path):
 
 
 def validate_obs(doc):
-    schema = doc.get("schema")
-    v2 = schema == "owl.obs.v2"
     counters = doc.get("counters")
     if not isinstance(counters, dict):
         fail("$/counters", "missing or not an object")
@@ -133,22 +130,20 @@ def validate_obs(doc):
     if not isinstance(spans, list):
         fail("$/spans", "missing or not an array")
     for i, span in enumerate(spans):
-        check_span(span, "$/spans[%d]" % i, v2)
+        check_span(span, "$/spans[%d]" % i)
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         fail("$/meta", "must be an object")
     for k, v in meta.items():
         if not isinstance(k, str) or not isinstance(v, str):
             fail("$/meta", "meta entries must be string -> string")
-    if v2:
-        histograms = doc.get("histograms")
-        if not isinstance(histograms, dict):
-            fail("$/histograms", "v2 document missing histograms object")
-        for name, h in histograms.items():
-            check_histogram(name, h, "$/histograms/%s" % name)
-        if not is_uint(doc.get("open_spans", -1)):
-            fail("$/open_spans",
-                 "v2 document missing non-negative open_spans")
+    histograms = doc.get("histograms")
+    if not isinstance(histograms, dict):
+        fail("$/histograms", "missing histograms object")
+    for name, h in histograms.items():
+        check_histogram(name, h, "$/histograms/%s" % name)
+    if not is_uint(doc.get("open_spans", -1)):
+        fail("$/open_spans", "missing non-negative open_spans")
 
 
 def validate_bench(doc):
@@ -189,13 +184,13 @@ def validate(doc):
     if not isinstance(doc, dict):
         fail("$", "document is not an object")
     schema = doc.get("schema")
-    if schema in OBS_SCHEMAS:
+    if schema == OBS_SCHEMA:
         validate_obs(doc)
     elif schema == BENCH_SCHEMA:
         validate_bench(doc)
     else:
         fail("$/schema", "expected one of %r, got %r"
-             % (OBS_SCHEMAS + (BENCH_SCHEMA,), schema))
+             % ((OBS_SCHEMA, BENCH_SCHEMA), schema))
 
 
 def check_requirements(doc, require_spans, require_nonzero):
@@ -551,7 +546,7 @@ def main():
             with open(path) as f:
                 doc = json.load(f)
             validate(doc)
-            if doc.get("schema") in OBS_SCHEMAS:
+            if doc.get("schema") == OBS_SCHEMA:
                 check_requirements(doc, require_spans + run_spans,
                                    require_nonzero + run_nonzero)
             for check in extra_checks:
@@ -565,7 +560,7 @@ def main():
         finally:
             if cleanup and os.path.exists(cleanup):
                 os.unlink(cleanup)
-        if doc.get("schema") in OBS_SCHEMAS:
+        if doc.get("schema") == OBS_SCHEMA:
             print("OK: %s conforms to %s (%d counters, %d root spans)"
                   % (what, doc["schema"], len(doc["counters"]),
                      len(doc["spans"])))

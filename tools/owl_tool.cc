@@ -74,11 +74,14 @@
  * aes.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -130,6 +133,35 @@ usage()
             "Trace Event timeline (Perfetto)\n"
             "run `owl list` for the design names\n");
     return 2;
+}
+
+/**
+ * Parse a numeric flag value: a plain decimal integer in [0, max].
+ * Anything else (empty, signed, trailing junk, out of range) prints a
+ * message naming the flag and exits 2.
+ */
+uint64_t
+parseCount(const char *flag, const char *text,
+           uint64_t max = std::numeric_limits<int>::max())
+{
+    char *end = nullptr;
+    errno = 0;
+    uint64_t v = isdigit(static_cast<unsigned char>(text[0]))
+                     ? strtoull(text, &end, 10)
+                     : 0;
+    if (!end || *end != '\0' || errno == ERANGE || v > max) {
+        fprintf(stderr,
+                "owl: %s expects an integer in [0, %llu], got '%s'\n",
+                flag, static_cast<unsigned long long>(max), text);
+        exit(2);
+    }
+    return v;
+}
+
+int
+parseInt(const char *flag, const char *text)
+{
+    return static_cast<int>(parseCount(flag, text));
 }
 
 /** True when the design argument names a `.owl` bundle file. */
@@ -230,14 +262,16 @@ cmdServe(int argc, char **argv)
         } else if (!strcmp(argv[i], "--listen") && i + 1 < argc) {
             listen_path = argv[++i];
         } else if (!strcmp(argv[i], "--sessions") && i + 1 < argc) {
-            sopts.sessions = atoi(argv[++i]);
+            sopts.sessions = parseInt("--sessions", argv[++i]);
         } else if (!strcmp(argv[i], "--queue-cap") && i + 1 < argc) {
-            sopts.queueCap = static_cast<size_t>(atol(argv[++i]));
+            sopts.queueCap = parseCount("--queue-cap", argv[++i]);
         } else if (!strcmp(argv[i], "--cache-mb") && i + 1 < argc) {
-            sopts.cacheBytes =
-                static_cast<size_t>(atol(argv[++i])) << 20;
+            sopts.cacheBytes = parseCount("--cache-mb", argv[++i])
+                               << 20;
         } else if (!strcmp(argv[i], "--budget") && i + 1 < argc) {
-            sopts.defaultBudgetMs = atol(argv[++i]) * 1000;
+            sopts.defaultBudgetMs =
+                static_cast<int64_t>(parseCount("--budget", argv[++i])) *
+                1000;
         } else if (!strcmp(argv[i], "--stats-json") && i + 1 < argc) {
             stats_json = argv[++i];
         } else {
@@ -351,20 +385,21 @@ cmdFuzz(int argc, char **argv)
     bool dump = false;
     for (int i = 2; i < argc; i++) {
         if (!strcmp(argv[i], "--seed") && i + 1 < argc) {
-            fopts.seed = strtoull(argv[++i], nullptr, 10);
+            fopts.seed = parseCount("--seed", argv[++i],
+                                    std::numeric_limits<uint64_t>::max());
         } else if (!strcmp(argv[i], "--runs") && i + 1 < argc) {
-            fopts.runs = atoi(argv[++i]);
+            fopts.runs = parseInt("--runs", argv[++i]);
         } else if (!strcmp(argv[i], "--out") && i + 1 < argc) {
             out_dir = argv[++i];
         } else if (!strcmp(argv[i], "--replay") && i + 1 < argc) {
             replay_path = argv[++i];
         } else if (!strcmp(argv[i], "--vectors") && i + 1 < argc) {
-            fopts.cosimVectors = atoi(argv[++i]);
+            fopts.cosimVectors = parseInt("--vectors", argv[++i]);
         } else if (!strcmp(argv[i], "--cycles") && i + 1 < argc) {
-            fopts.cosimCycles = atoi(argv[++i]);
+            fopts.cosimCycles = parseInt("--cycles", argv[++i]);
         } else if (!strcmp(argv[i], "--max-findings") &&
                    i + 1 < argc) {
-            fopts.maxFindings = atoi(argv[++i]);
+            fopts.maxFindings = parseInt("--max-findings", argv[++i]);
         } else if (!strcmp(argv[i], "--dump")) {
             dump = true;
         } else if (!strcmp(argv[i], "--no-reduce")) {
@@ -491,18 +526,10 @@ main(int argc, char **argv)
     std::string design = argv[2];
 
     bool mono = false;
-    long budget_s = 0;
+    SynthesisOptions opts;
     // OWL_JOBS is the default for --jobs; an explicit flag wins.
-    int jobs = 0;
-    if (const char *env = getenv("OWL_JOBS"))
-        jobs = atoi(env);
-    int portfolio = 0;
-    bool check_proofs = false;
-    bool incremental = true;
-    bool profile_sat = false;
-    bool preprocess = true;
-    bool eager_ackermann = false;
-    long inprocess_conflicts = -1; // -1 = pipeline default
+    if (const char *env = getenv("OWL_JOBS"); env && *env)
+        opts.jobs = parseInt("OWL_JOBS", env);
     int lint_cycles = 1;
     std::string out_verilog;
     std::string stats_json;
@@ -511,27 +538,30 @@ main(int argc, char **argv)
         if (!strcmp(argv[i], "--mono")) {
             mono = true;
         } else if (!strcmp(argv[i], "--budget") && i + 1 < argc) {
-            budget_s = atol(argv[++i]);
+            opts.timeLimit =
+                std::chrono::seconds(parseCount("--budget", argv[++i]));
         } else if (!strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = atoi(argv[++i]);
+            opts.jobs = parseInt("--jobs", argv[++i]);
         } else if (!strcmp(argv[i], "--portfolio") && i + 1 < argc) {
-            portfolio = atoi(argv[++i]);
+            opts.satPortfolio = parseInt("--portfolio", argv[++i]);
         } else if (!strcmp(argv[i], "--check-proofs")) {
-            check_proofs = true;
+            opts.checkProofs = true;
         } else if (!strcmp(argv[i], "--no-incremental")) {
-            incremental = false;
+            opts.incremental = false;
         } else if (!strcmp(argv[i], "--no-preprocess")) {
-            preprocess = false;
+            opts.preprocess = false;
         } else if (!strcmp(argv[i], "--eager-ackermann")) {
-            eager_ackermann = true;
+            opts.eagerAckermann = true;
         } else if (!strcmp(argv[i], "--inprocess") && i + 1 < argc) {
-            inprocess_conflicts = atol(argv[++i]);
+            opts.inprocessConflicts = parseCount(
+                "--inprocess", argv[++i],
+                std::numeric_limits<uint64_t>::max());
         } else if (!strcmp(argv[i], "--profile-sat")) {
-            profile_sat = true;
+            opts.profileSat = true;
         } else if (!strcmp(argv[i], "--trace-out") && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (!strcmp(argv[i], "--cycles") && i + 1 < argc) {
-            lint_cycles = atoi(argv[++i]);
+            lint_cycles = parseInt("--cycles", argv[++i]);
         } else if (!strcmp(argv[i], "-o") && i + 1 < argc) {
             out_verilog = argv[++i];
         } else if (!strcmp(argv[i], "--stats-json") && i + 1 < argc) {
@@ -540,7 +570,7 @@ main(int argc, char **argv)
             return usage();
         }
     }
-    if (mono && jobs > 1) {
+    if (mono && opts.jobs > 1) {
         fprintf(stderr, "owl: --mono and --jobs are mutually "
                         "exclusive (the monolithic query is one "
                         "task)\n");
@@ -614,25 +644,17 @@ main(int argc, char **argv)
     if (cmd != "synth" && cmd != "control" && cmd != "verify")
         return usage();
 
-    SynthesisOptions opts;
-    if (mono)
+    if (mono) {
         opts.strategy = Strategy::Monolithic;
-    else if (jobs > 1)
-        opts.strategy = Strategy::PerInstructionParallel;
-    opts.jobs = jobs;
-    opts.satPortfolio = portfolio;
-    opts.checkProofs = check_proofs;
-    opts.incremental = incremental;
-    opts.profileSat = profile_sat;
-    opts.preprocess = preprocess;
-    opts.eagerAckermann = eager_ackermann;
-    if (inprocess_conflicts >= 0)
-        opts.inprocessConflicts =
-            static_cast<uint64_t>(inprocess_conflicts);
-    if (budget_s > 0)
-        opts.timeLimit = std::chrono::milliseconds(budget_s * 1000);
-    if (mono)
         opts.maxIterations = 1 << 20;
+    } else if (opts.jobs > 1) {
+        opts.strategy = Strategy::PerInstructionParallel;
+    }
+    // One budget covers synthesis and the verify pass after it.
+    CegisOptions vopts;
+    static_cast<CegisConfig &>(vopts) = opts;
+    if (opts.timeLimit.count() > 0)
+        vopts.deadline = std::chrono::steady_clock::now() + opts.timeLimit;
     fprintf(stderr, "[owl] synthesizing %s control for %s (%zu "
                     "instructions, sketch %d LoC)...\n",
             strategyName(opts.strategy), design.c_str(),
@@ -656,19 +678,12 @@ main(int argc, char **argv)
     }
     if (cmd == "verify") {
         std::string failed;
-        // The verification pass honours the same solver policy flags
-        // as synthesis (preprocessing, eager Ackermann, proofs).
-        CegisOptions vopts;
-        vopts.satPortfolio = opts.satPortfolio;
-        vopts.checkProofs = opts.checkProofs;
-        vopts.profileSat = opts.profileSat;
-        vopts.preprocess = opts.preprocess;
-        vopts.inprocessConflicts = opts.inprocessConflicts;
-        vopts.eagerAckermann = opts.eagerAckermann;
         SynthStatus v = verifyDesign(cs.sketch, cs.spec, cs.alpha,
                                      &failed, vopts);
         if (v != SynthStatus::Ok) {
-            fprintf(stderr, "[owl] verification failed at %s\n",
+            fprintf(stderr, "[owl] verification %s at %s\n",
+                    v == SynthStatus::Timeout ? "ran out of budget"
+                                              : "failed",
                     failed.c_str());
             write_stats();
             return 1;
