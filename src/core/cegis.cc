@@ -54,6 +54,17 @@ CegisOptions::solveLimits() const
     return limits;
 }
 
+HoleValues
+zeroHoles(const oyster::Design &sketch)
+{
+    HoleValues hv;
+    for (const oyster::Decl &d : sketch.decls()) {
+        if (d.kind == oyster::DeclKind::Hole)
+            hv.emplace(d.name, BitVec(d.width));
+    }
+    return hv;
+}
+
 std::map<int, std::string>
 memoryNames(const oyster::Design &sketch)
 {
@@ -97,17 +108,6 @@ InstrSynthesizer::InstrSynthesizer(const oyster::Design &sketch,
     : sketch(sketch), spec(spec), alpha(alpha),
       memNames(memoryNames(sketch))
 {
-}
-
-HoleValues
-InstrSynthesizer::zeroCandidate() const
-{
-    HoleValues hv;
-    for (const oyster::Decl &d : sketch.decls()) {
-        if (d.kind == oyster::DeclKind::Hole)
-            hv.emplace(d.name, BitVec(d.width));
-    }
-    return hv;
 }
 
 void
@@ -179,18 +179,9 @@ InstrSynthesizer::verifyCandidate(const ila::Instr &instr,
     SymRun run = ev.run(alpha.cycles());
 
     SpecCompiler sc(spec, alpha, tt, run, sketch);
-    InstrConditions conds = sc.compileInstr(instr);
-
-    // Pre ∧ assumes ∧ ¬(∧ posts): a model is a state where the
-    // candidate control violates the instruction's semantics.
-    std::vector<TermRef> assertions;
-    assertions.push_back(conds.pre);
-    for (TermRef a : conds.assumes)
-        assertions.push_back(a);
-    TermRef all_posts = tt.trueTerm();
-    for (TermRef p : conds.posts)
-        all_posts = tt.mkAnd(all_posts, p);
-    assertions.push_back(tt.mkNot(all_posts));
+    // A model is a state where the candidate control violates the
+    // instruction's semantics.
+    std::vector<TermRef> assertions = sc.compileInstr(instr).violated(tt);
 
     smt::Model model;
     smt::SolveLimits lims = opts.solveLimits();
@@ -205,37 +196,22 @@ InstrSynthesizer::verifyCandidate(const ila::Instr &instr,
         return SynthStatus::Timeout;
       case CheckResult::Sat:
         span.attr("result", "refuted");
-        if (cex) {
+        if (cex)
             extractCounterexample(tt, model, memNames, *cex);
-            OWL_COUNTER_INC("cegis.counterexamples");
-        }
         return SynthStatus::Unsat; // candidate refuted
     }
     owl_panic("unreachable");
 }
 
-namespace
-{
-
-/**
- * Encode one counterexample replay for one instruction: symbolic
- * holes, every other leaf pinned to the counterexample's concrete
- * state, yielding (Pre ∧ assumes) → posts as a single 1-bit term.
- * Shared by the fresh per-iteration path (which conjoins one term per
- * counterexample into each query) and the incremental path (which
- * adds each term as a new activation-literal group exactly once).
- */
-TermRef
-buildCexConstraint(const oyster::Design &sketch, const ila::Ila &spec,
-                   const AbsFunc &alpha, TermTable &tt,
-                   const std::map<std::string, TermRef> &hole_vars,
-                   const ila::Instr &instr, Counterexample cex)
+SymRun
+replayCex(const oyster::Design &sketch, const AbsFunc &alpha,
+          TermTable &tt, const std::map<std::string, TermRef> &hole_terms,
+          Counterexample cex)
 {
     applyCexAliases(alpha, cex);
     SymbolicEvaluator ev(sketch, tt);
-    for (const auto &[name, var] : hole_vars)
-        ev.setHole(name, var);
-    // Pin every leaf to the counterexample's concrete state.
+    for (const auto &[name, term] : hole_terms)
+        ev.setHole(name, term);
     for (const oyster::Decl &d : sketch.decls()) {
         if (d.kind == oyster::DeclKind::Register) {
             auto it = cex.regs.find(d.name);
@@ -257,21 +233,64 @@ buildCexConstraint(const oyster::Design &sketch, const ila::Ila &spec,
                                   : std::map<uint64_t, BitVec>{});
         }
     }
-    SymRun run = ev.run(alpha.cycles());
+    return ev.run(alpha.cycles());
+}
+
+SynthStatus
+cegisLoop(const CegisOptions &opts, int &iterations,
+          const VerifyStep &verify, const SynthStep &synth)
+{
+    std::vector<Counterexample> cexes;
+    for (int iter = 0; iter < opts.maxIterations; iter++) {
+        iterations = iter + 1;
+        OWL_COUNTER_INC("cegis.iterations");
+        obs::ScopedSpan iter_span("cegis.iter");
+        iter_span.attr("n", iter);
+        iter_span.attr("cex_count", cexes.size());
+        if (opts.expired())
+            return SynthStatus::Timeout;
+        Counterexample cex;
+        SynthStatus v = verify(cex);
+        if (v != SynthStatus::Unsat) // proved (Ok) or out of budget
+            return v;
+        cexes.push_back(std::move(cex));
+        OWL_COUNTER_INC("cegis.counterexamples");
+        // Inter-step budget check: verification can consume the whole
+        // deadline in SAT calls too short to trip the CDCL-stride
+        // poll, so re-check before paying for the synth step.
+        if (opts.expired())
+            return SynthStatus::Timeout;
+        SynthStatus s = synth(cexes, iter_span);
+        if (s != SynthStatus::Ok)
+            return s;
+    }
+    return SynthStatus::IterLimit;
+}
+
+namespace
+{
+
+/**
+ * Encode one counterexample replay for one instruction, symbolic
+ * holes and every other leaf concrete, as (Pre ∧ assumes) → posts.
+ * Shared by the fresh per-iteration path (which conjoins one term per
+ * counterexample into each query) and the incremental path (which
+ * adds each term as a new activation-literal group exactly once).
+ */
+TermRef
+buildCexConstraint(const oyster::Design &sketch, const ila::Ila &spec,
+                   const AbsFunc &alpha, TermTable &tt,
+                   const std::map<std::string, TermRef> &hole_vars,
+                   const ila::Instr &instr, const Counterexample &cex)
+{
+    SymRun run = replayCex(sketch, alpha, tt, hole_vars, cex);
     SpecCompiler sc(spec, alpha, tt, run, sketch);
-    InstrConditions conds = sc.compileInstr(instr);
-    TermRef lhs = conds.pre;
-    for (TermRef a : conds.assumes)
-        lhs = tt.mkAnd(lhs, a);
-    TermRef rhs = tt.trueTerm();
-    for (TermRef p : conds.posts)
-        rhs = tt.mkAnd(rhs, p);
-    return tt.mkImplies(lhs, rhs);
+    return sc.compileInstr(instr).holds(tt);
 }
 
 /**
- * Fix the candidate to the lexicographically-minimal hole assignment
- * of the current (satisfiable) synth query: holes in name order, bits
+ * Solve the synth query in ctx and fix the candidate to its
+ * lexicographically-minimal hole assignment: holes in name order, bits
  * msb-to-lsb, each bit probed with an assumption and pinned to 0 when
  * a solution with that prefix exists.
  *
@@ -287,10 +306,19 @@ buildCexConstraint(const oyster::Design &sketch, const ila::Ila &spec,
  * propagation after the initial model.
  */
 SynthStatus
-canonicalizeHoles(smt::IncrementalContext &ctx,
-                  const std::map<std::string, TermRef> &hole_vars,
-                  const CegisOptions &opts, HoleValues &candidate)
+solveLexmin(smt::IncrementalContext &ctx,
+            const std::map<std::string, TermRef> &hole_vars,
+            const CegisOptions &opts, HoleValues &candidate,
+            smt::CheckStats *stats = nullptr)
 {
+    switch (ctx.check(nullptr, opts.solveLimits(), stats)) {
+      case CheckResult::Unsat:
+        return SynthStatus::Unsat;
+      case CheckResult::Unknown:
+        return SynthStatus::Timeout;
+      case CheckResult::Sat:
+        break;
+    }
     std::vector<sat::Lit> fixed;
     for (const auto &[name, var] : hole_vars) {
         std::vector<sat::Lit> lits = ctx.literalsOf(var);
@@ -317,6 +345,19 @@ canonicalizeHoles(smt::IncrementalContext &ctx,
         candidate[name] = value;
     }
     return SynthStatus::Ok;
+}
+
+/** Number of holes whose value differs between two candidates. */
+int
+holeDelta(const HoleValues &before, const HoleValues &after)
+{
+    int changed = 0;
+    for (const auto &[name, v] : after) {
+        auto it = before.find(name);
+        if (it == before.end() || !(it->second == v))
+            changed++;
+    }
+    return changed;
 }
 
 } // namespace
@@ -350,16 +391,7 @@ SynthSession::solve(HoleValues &candidate, const CegisOptions &opts)
 {
     if (opts.expired())
         return SynthStatus::Timeout;
-    smt::CheckResult r = ctx.check(nullptr, opts.solveLimits());
-    switch (r) {
-      case smt::CheckResult::Unsat:
-        return SynthStatus::Unsat;
-      case smt::CheckResult::Unknown:
-        return SynthStatus::Timeout;
-      case smt::CheckResult::Sat:
-        break;
-    }
-    return canonicalizeHoles(ctx, holeVars, opts, candidate);
+    return solveLexmin(ctx, holeVars, opts, candidate);
 }
 
 SynthStatus
@@ -389,36 +421,8 @@ InstrSynthesizer::synthStep(const ila::Instr &instr,
         ctx.assertPermanent(buildCexConstraint(
             sketch, spec, alpha, tt, hole_vars, instr, cex));
     }
-
-    smt::CheckResult r = ctx.check(nullptr, opts.solveLimits(), stats);
-    switch (r) {
-      case CheckResult::Unsat:
-        return SynthStatus::Unsat;
-      case CheckResult::Unknown:
-        return SynthStatus::Timeout;
-      case CheckResult::Sat:
-        break;
-    }
-    return canonicalizeHoles(ctx, hole_vars, opts, candidate);
+    return solveLexmin(ctx, hole_vars, opts, candidate, stats);
 }
-
-namespace
-{
-
-/** Number of holes whose value differs between two candidates. */
-int
-holeDelta(const HoleValues &before, const HoleValues &after)
-{
-    int changed = 0;
-    for (const auto &[name, v] : after) {
-        auto it = before.find(name);
-        if (it == before.end() || !(it->second == v))
-            changed++;
-    }
-    return changed;
-}
-
-} // namespace
 
 CegisResult
 InstrSynthesizer::synthesize(const ila::Instr &instr,
@@ -432,9 +436,9 @@ InstrSynthesizer::synthesize(const ila::Instr &instr,
     OWL_COUNTER_INC("cegis.instructions");
 
     CegisResult result;
-    HoleValues candidate = pin ? *pin : zeroCandidate();
+    HoleValues candidate = pin ? *pin : zeroHoles(sketch);
     // Fill any holes missing from the pin with zeros.
-    for (auto &[name, v] : zeroCandidate())
+    for (auto &[name, v] : zeroHoles(sketch))
         candidate.emplace(name, v);
 
     std::unique_ptr<SynthSession> session;
@@ -457,61 +461,18 @@ InstrSynthesizer::synthesize(const ila::Instr &instr,
 
     // Ackermann constraints encoded for this instruction across all
     // its queries: every fresh verify/synth query's count plus (at
-    // finish) the incremental session's cumulative total.
+    // the end) the incremental session's cumulative total.
     uint64_t instr_ack = 0;
 
-    auto finish = [&](SynthStatus status) {
-        if (session) {
-            const smt::IncrementalStats &st = session->stats();
-            OWL_COUNTER_ADD("cegis.incremental.solve_calls",
-                            st.solveCalls - session_base.solveCalls);
-            OWL_COUNTER_ADD("cegis.incremental.clauses_reused",
-                            st.clausesReused -
-                                session_base.clausesReused);
-            OWL_COUNTER_ADD("cegis.incremental.cache_hits",
-                            st.cacheHits - session_base.cacheHits);
-            instr_ack += st.ackermannConstraints -
-                         session_base.ackermannConstraints;
-            if (pooled)
-                opts.sessionPool->checkin(std::move(session));
-        }
-        OWL_HISTOGRAM_RECORD("cegis.instr_ackermann", instr_ack);
-        result.status = status;
-        span.attr("status", synthStatusName(status));
-        span.attr("iterations", result.iterations);
-        span.attr("ackermann", instr_ack);
-        OWL_TRACE_EVENT("cegis", "done instr=", instr.name(),
-                        " status=", synthStatusName(status),
-                        " iterations=", result.iterations);
-        return result;
-    };
-
-    std::vector<Counterexample> cexes;
-    for (int iter = 0; iter < opts.maxIterations; iter++) {
-        result.iterations = iter + 1;
-        OWL_COUNTER_INC("cegis.iterations");
-        obs::ScopedSpan iter_span("cegis.iter");
-        iter_span.attr("n", iter);
-        iter_span.attr("cex_count", cexes.size());
-        if (opts.expired())
-            return finish(SynthStatus::Timeout);
-        Counterexample cex;
+    auto verify = [&](Counterexample &cex) {
         smt::CheckStats verify_stats;
         SynthStatus v =
             verifyCandidate(instr, candidate, &cex, opts, &verify_stats);
         instr_ack += verify_stats.ackermannConstraints;
-        if (v == SynthStatus::Ok) {
-            result.holes = candidate;
-            return finish(SynthStatus::Ok);
-        }
-        if (v == SynthStatus::Timeout)
-            return finish(SynthStatus::Timeout);
-        cexes.push_back(std::move(cex));
-        // Inter-step budget check: verification can consume the whole
-        // deadline in SAT calls too short to trip the CDCL-stride
-        // poll, so re-check before paying for the synth step.
-        if (opts.expired())
-            return finish(SynthStatus::Timeout);
+        return v;
+    };
+    auto synth = [&](const std::vector<Counterexample> &cexes,
+                     obs::ScopedSpan &iter_span) {
         HoleValues previous = candidate;
         SynthStatus s;
         if (session) {
@@ -526,14 +487,39 @@ InstrSynthesizer::synthesize(const ila::Instr &instr,
             instr_ack += synth_stats.ackermannConstraints;
         }
         if (s != SynthStatus::Ok)
-            return finish(s);
+            return s;
         int delta = holeDelta(previous, candidate);
         iter_span.attr("hole_delta", delta);
         OWL_TRACE_EVENT("cegis", "iter instr=", instr.name(),
-                        " n=", iter, " cex=", cexes.size(),
+                        " n=", cexes.size() - 1, " cex=", cexes.size(),
                         " hole_delta=", delta);
+        return s;
+    };
+    result.status = cegisLoop(opts, result.iterations, verify, synth);
+    if (result.status == SynthStatus::Ok)
+        result.holes = candidate;
+
+    if (session) {
+        const smt::IncrementalStats &st = session->stats();
+        OWL_COUNTER_ADD("cegis.incremental.solve_calls",
+                        st.solveCalls - session_base.solveCalls);
+        OWL_COUNTER_ADD("cegis.incremental.clauses_reused",
+                        st.clausesReused - session_base.clausesReused);
+        OWL_COUNTER_ADD("cegis.incremental.cache_hits",
+                        st.cacheHits - session_base.cacheHits);
+        instr_ack +=
+            st.ackermannConstraints - session_base.ackermannConstraints;
+        if (pooled)
+            opts.sessionPool->checkin(std::move(session));
     }
-    return finish(SynthStatus::IterLimit);
+    OWL_HISTOGRAM_RECORD("cegis.instr_ackermann", instr_ack);
+    span.attr("status", synthStatusName(result.status));
+    span.attr("iterations", result.iterations);
+    span.attr("ackermann", instr_ack);
+    OWL_TRACE_EVENT("cegis", "done instr=", instr.name(),
+                    " status=", synthStatusName(result.status),
+                    " iterations=", result.iterations);
+    return result;
 }
 
 } // namespace owl::synth

@@ -3,9 +3,9 @@
  * CEGIS (counterexample-guided inductive synthesis) for control logic
  * (paper §3.3, Equations (1)/(2)).
  *
- * The ∃holes ∀state query of Equation (2) is solved as the classic
- * guess-and-verify loop that realizes Rosette's `synthesize` on top of
- * a plain satisfiability oracle:
+ * The ∃holes ∀state query is solved as the classic guess-and-verify
+ * loop that realizes Rosette's `synthesize` on top of a plain
+ * satisfiability oracle:
  *
  *   candidate := pin (previous instruction's values) or all-zeros
  *   loop:
@@ -15,6 +15,14 @@
  *     synth:   replay every counterexample with concrete state and
  *              symbolic holes; SAT((Pre ∧ assumes) -> Post for all
  *              counterexamples)? model -> next candidate.
+ *
+ * There is one loop, cegisLoop(), and two pairs of steps for it:
+ * InstrSynthesizer::synthesize runs Equation (2) for one instruction
+ * (verifyCandidate + a lexmin-canonicalized synth query), and the
+ * Monolithic strategy (synthesis.cc) runs Equation (1) over the whole
+ * specification with decode-selected hole chains. Both build their
+ * queries from InstrConditions::holds/violated and replay
+ * counterexamples through replayCex().
  *
  * Per the paper, hole solutions are concrete bitvector constants per
  * instruction; the control union (control_union.h) then joins them
@@ -26,6 +34,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,6 +49,11 @@
 #include "smt/ackermann.h"
 #include "smt/incremental.h"
 #include "smt/solver.h"
+
+namespace owl::obs
+{
+class ScopedSpan;
+}
 
 namespace owl::synth
 {
@@ -154,6 +168,9 @@ void extractCounterexample(const smt::TermTable &tt,
                            const std::map<int, std::string> &mem_names,
                            Counterexample &cex);
 
+/** Every hole of the sketch, valued zero. */
+HoleValues zeroHoles(const oyster::Design &sketch);
+
 /** Memory-id (declaration index) to name map for a sketch. */
 std::map<int, std::string> memoryNames(const oyster::Design &sketch);
 
@@ -167,6 +184,33 @@ void applyInitAliases(const oyster::Design &sketch,
 
 /** Replicate aliased initial values inside a counterexample replay. */
 void applyCexAliases(const AbsFunc &alpha, Counterexample &cex);
+
+/**
+ * Replay one counterexample: holes set to hole_terms, every other
+ * leaf pinned to the counterexample's concrete state (absent entries
+ * read as zero).
+ */
+oyster::SymRun
+replayCex(const oyster::Design &sketch, const AbsFunc &alpha,
+          smt::TermTable &tt,
+          const std::map<std::string, smt::TermRef> &hole_terms,
+          Counterexample cex);
+
+using VerifyStep = std::function<SynthStatus(Counterexample &cex)>;
+using SynthStep = std::function<SynthStatus(
+    const std::vector<Counterexample> &cexes, obs::ScopedSpan &iter)>;
+
+/**
+ * The CEGIS loop of Equations (1) and (2): up to opts.maxIterations
+ * rounds, each under a `cegis.iter` span, of verify (Ok = candidate
+ * proved, Unsat = refuted with the counterexample written, Timeout)
+ * then synth (the next candidate from every counterexample so far;
+ * it may annotate the round's span), with the budget polled before
+ * each step. Returns Ok, the first other step status, Timeout or
+ * IterLimit; `iterations` counts the rounds started.
+ */
+SynthStatus cegisLoop(const CegisOptions &opts, int &iterations,
+                      const VerifyStep &verify, const SynthStep &synth);
 
 /**
  * The synth side of one instruction's CEGIS run as a long-lived
@@ -302,8 +346,6 @@ class InstrSynthesizer
                           HoleValues &candidate,
                           const CegisOptions &opts,
                           smt::CheckStats *stats = nullptr);
-
-    HoleValues zeroCandidate() const;
 };
 
 } // namespace owl::synth

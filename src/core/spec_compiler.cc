@@ -305,6 +305,32 @@ SpecCompiler::fetchTerm()
     return translate(spec.fetch().idx());
 }
 
+TermRef
+InstrConditions::holds(smt::TermTable &tt) const
+{
+    TermRef lhs = pre;
+    for (TermRef a : assumes)
+        lhs = tt.mkAnd(lhs, a);
+    TermRef rhs = tt.trueTerm();
+    for (TermRef p : posts)
+        rhs = tt.mkAnd(rhs, p);
+    return tt.mkImplies(lhs, rhs);
+}
+
+std::vector<TermRef>
+InstrConditions::violated(smt::TermTable &tt,
+                          const std::vector<TermRef> &side) const
+{
+    std::vector<TermRef> out{pre};
+    out.insert(out.end(), assumes.begin(), assumes.end());
+    out.insert(out.end(), side.begin(), side.end());
+    TermRef all_posts = tt.trueTerm();
+    for (TermRef p : posts)
+        all_posts = tt.mkAnd(all_posts, p);
+    out.push_back(tt.mkNot(all_posts));
+    return out;
+}
+
 std::vector<InstrConditions>
 SpecCompiler::compileAll()
 {

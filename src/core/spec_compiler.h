@@ -49,6 +49,21 @@ struct InstrConditions
     smt::TermRef pre;
     std::vector<smt::TermRef> posts;
     std::vector<smt::TermRef> assumes;
+
+    /**
+     * (Pre ∧ assumes) → ∧posts as one 1-bit term: the instruction
+     * holds. A synth query asserts it per counterexample replay.
+     */
+    smt::TermRef holds(smt::TermTable &tt) const;
+    /**
+     * Pre, each assume, then `side`, then ¬∧posts: the assertions of
+     * a verify query, whose models are states that violate the
+     * instruction. `side` carries extra constraints the caller has
+     * already built (verifyDesign's decode-cycle pins).
+     */
+    std::vector<smt::TermRef>
+    violated(smt::TermTable &tt,
+             const std::vector<smt::TermRef> &side = {}) const;
 };
 
 /**

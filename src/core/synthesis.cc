@@ -36,18 +36,20 @@ namespace
 {
 
 /**
- * Monolithic synthesis (Equation (1)): one joint CEGIS query over the
- * whole specification. Hole implementations are per-instruction
- * constant vectors selected by the decode preconditions, so the
- * solution space matches what per-instruction + control union can
- * express — but the solver must handle the conjunction over all
- * instructions at once.
+ * The two joint queries of Equation (1), monolithic synthesis: hole
+ * implementations are per-instruction constant vectors selected by
+ * the decode preconditions, so the solution space matches what
+ * per-instruction + control union can express — but the solver must
+ * handle the conjunction over all instructions at once. These are the
+ * verify and synth steps synthesizeControl hands to cegisLoop(); the
+ * synth step takes its holes from the raw checkSat model, with no
+ * lexmin canonicalization.
  */
-class MonolithicSynthesizer
+class MonolithicQueries
 {
   public:
-    MonolithicSynthesizer(const oyster::Design &sketch,
-                          const ila::Ila &spec, const AbsFunc &alpha)
+    MonolithicQueries(const oyster::Design &sketch, const ila::Ila &spec,
+                      const AbsFunc &alpha)
         : sketch(sketch), spec(spec), alpha(alpha),
           memNames(memoryNames(sketch))
     {
@@ -55,79 +57,6 @@ class MonolithicSynthesizer
             if (d.kind == oyster::DeclKind::Hole)
                 holes.push_back(&d);
         }
-        for (const auto &i : spec.instrs())
-            instrs.push_back(i.get());
-    }
-
-    SynthStatus
-    run(PerInstrResults &results, const CegisOptions &opts,
-        int &iterations)
-    {
-        obs::ScopedSpan span("cegis");
-        span.attr("mono", 1);
-        span.attr("instrs", instrs.size());
-
-        // candidate[j][hole] for instruction j.
-        std::vector<HoleValues> candidate(instrs.size());
-        for (size_t j = 0; j < instrs.size(); j++) {
-            for (const oyster::Decl *h : holes)
-                candidate[j][h->name] = BitVec(h->width);
-        }
-
-        std::vector<Counterexample> cexes;
-        for (int iter = 0; iter < opts.maxIterations; iter++) {
-            iterations = iter + 1;
-            OWL_COUNTER_INC("cegis.iterations");
-            obs::ScopedSpan iter_span("cegis.iter");
-            iter_span.attr("n", iter);
-            iter_span.attr("cex_count", cexes.size());
-            if (opts.expired())
-                return SynthStatus::Timeout;
-            Counterexample cex;
-            SynthStatus v = verify(candidate, cex, opts);
-            if (v == SynthStatus::Ok) {
-                results.clear();
-                for (size_t j = 0; j < instrs.size(); j++)
-                    results.emplace_back(instrs[j]->name(),
-                                         candidate[j]);
-                return SynthStatus::Ok;
-            }
-            if (v == SynthStatus::Timeout)
-                return SynthStatus::Timeout;
-            cexes.push_back(std::move(cex));
-            OWL_COUNTER_INC("cegis.counterexamples");
-            OWL_TRACE_EVENT("cegis", "mono iter n=", iter,
-                            " cex=", cexes.size());
-            // Inter-step budget check (mirrors the per-instruction
-            // loop): short SAT calls can slip under the CDCL deadline
-            // stride, so the deadline must also be honored between
-            // the verify and synth halves of an iteration.
-            if (opts.expired())
-                return SynthStatus::Timeout;
-            SynthStatus s = synth(cexes, candidate, opts);
-            if (s != SynthStatus::Ok)
-                return s;
-        }
-        return SynthStatus::IterLimit;
-    }
-
-  private:
-    const oyster::Design &sketch;
-    const ila::Ila &spec;
-    const AbsFunc &alpha;
-    std::map<int, std::string> memNames;
-    std::vector<const oyster::Decl *> holes;
-    std::vector<const ila::Instr *> instrs;
-
-    /** Fold per-instruction values into the hole's selection chain. */
-    TermRef
-    holeChain(TermTable &tt, const std::vector<TermRef> &pres,
-              const std::vector<TermRef> &per_instr_vals) const
-    {
-        TermRef v = per_instr_vals.back();
-        for (int j = per_instr_vals.size() - 2; j >= 0; j--)
-            v = tt.mkIte(pres[j], per_instr_vals[j], v);
-        return v;
     }
 
     SynthStatus
@@ -156,22 +85,15 @@ class MonolithicSynthesizer
         // constant of whichever instruction's precondition holds.
         for (const oyster::Decl *h : holes) {
             std::vector<TermRef> vals;
-            for (size_t j = 0; j < instrs.size(); j++)
-                vals.push_back(tt.constant(candidate[j].at(h->name)));
+            for (const HoleValues &hv : candidate)
+                vals.push_back(tt.constant(hv.at(h->name)));
             assertions.push_back(tt.mkEq(hole_vars[h->name],
                                          holeChain(tt, pres, vals)));
         }
         // ¬ ∧_j ((pre_j ∧ assumes) → posts_j)
         TermRef all = tt.trueTerm();
-        for (const InstrConditions &c : conds) {
-            TermRef lhs = c.pre;
-            for (TermRef a : c.assumes)
-                lhs = tt.mkAnd(lhs, a);
-            TermRef rhs = tt.trueTerm();
-            for (TermRef p : c.posts)
-                rhs = tt.mkAnd(rhs, p);
-            all = tt.mkAnd(all, tt.mkImplies(lhs, rhs));
-        }
+        for (const InstrConditions &c : conds)
+            all = tt.mkAnd(all, c.holds(tt));
         assertions.push_back(tt.mkNot(all));
 
         smt::Model model;
@@ -193,8 +115,9 @@ class MonolithicSynthesizer
         span.attr("cex_count", cexes.size());
         TermTable tt;
         // Per-instruction, per-hole constant variables.
-        std::vector<std::map<std::string, TermRef>> cvars(instrs.size());
-        for (size_t j = 0; j < instrs.size(); j++) {
+        std::vector<std::map<std::string, TermRef>> cvars(
+            candidate.size());
+        for (size_t j = 0; j < cvars.size(); j++) {
             for (const oyster::Decl *h : holes) {
                 cvars[j][h->name] = tt.freshVar(
                     "c." + std::to_string(j) + "." + h->name, h->width);
@@ -214,32 +137,23 @@ class MonolithicSynthesizer
             for (const oyster::Decl *h : holes)
                 probe[h->name] = tt.freshVar("probe." + h->name,
                                              h->width);
-            SymRun run0 = runWithCex(tt, cex, probe);
+            SymRun run0 = replayCex(sketch, alpha, tt, probe, cex);
             SpecCompiler sc0(spec, alpha, tt, run0, sketch);
             std::vector<TermRef> pres;
             for (const auto &i : spec.instrs())
-                pres.push_back(
-                    sc0.compileInstr(*i).pre);
+                pres.push_back(sc0.compileInstr(*i).pre);
 
             std::map<std::string, TermRef> hole_terms;
             for (const oyster::Decl *h : holes) {
                 std::vector<TermRef> vals;
-                for (size_t j = 0; j < instrs.size(); j++)
-                    vals.push_back(cvars[j].at(h->name));
+                for (const auto &cv : cvars)
+                    vals.push_back(cv.at(h->name));
                 hole_terms[h->name] = holeChain(tt, pres, vals);
             }
-            SymRun run = runWithCex(tt, cex, hole_terms);
+            SymRun run = replayCex(sketch, alpha, tt, hole_terms, cex);
             SpecCompiler sc(spec, alpha, tt, run, sketch);
-            for (const auto &i : spec.instrs()) {
-                InstrConditions c = sc.compileInstr(*i);
-                TermRef lhs = c.pre;
-                for (TermRef a : c.assumes)
-                    lhs = tt.mkAnd(lhs, a);
-                TermRef rhs = tt.trueTerm();
-                for (TermRef p : c.posts)
-                    rhs = tt.mkAnd(rhs, p);
-                assertions.push_back(tt.mkImplies(lhs, rhs));
-            }
+            for (const auto &i : spec.instrs())
+                assertions.push_back(sc.compileInstr(*i).holds(tt));
         }
 
         smt::Model model;
@@ -249,7 +163,7 @@ class MonolithicSynthesizer
             return SynthStatus::Unsat;
         if (r == CheckResult::Unknown)
             return SynthStatus::Timeout;
-        for (size_t j = 0; j < instrs.size(); j++) {
+        for (size_t j = 0; j < cvars.size(); j++) {
             for (const oyster::Decl *h : holes) {
                 const smt::Node &n = tt.node(cvars[j].at(h->name));
                 candidate[j][h->name] = model.varValue(tt, n.a);
@@ -258,36 +172,22 @@ class MonolithicSynthesizer
         return SynthStatus::Ok;
     }
 
-    SymRun
-    runWithCex(TermTable &tt, Counterexample cex,
-               const std::map<std::string, TermRef> &hole_terms)
+  private:
+    const oyster::Design &sketch;
+    const ila::Ila &spec;
+    const AbsFunc &alpha;
+    std::map<int, std::string> memNames;
+    std::vector<const oyster::Decl *> holes;
+
+    /** Fold per-instruction values into the hole's selection chain. */
+    static TermRef
+    holeChain(TermTable &tt, const std::vector<TermRef> &pres,
+              const std::vector<TermRef> &per_instr_vals)
     {
-        applyCexAliases(alpha, cex);
-        SymbolicEvaluator ev(sketch, tt);
-        for (const auto &[name, term] : hole_terms)
-            ev.setHole(name, term);
-        for (const oyster::Decl &d : sketch.decls()) {
-            if (d.kind == oyster::DeclKind::Register) {
-                auto it = cex.regs.find(d.name);
-                BitVec v = it != cex.regs.end() ? it->second
-                                                : BitVec(d.width);
-                ev.setInitialReg(d.name, tt.constant(v));
-            } else if (d.kind == oyster::DeclKind::Input) {
-                for (int t = 1; t <= alpha.cycles(); t++) {
-                    auto it = cex.inputs.find({d.name, t});
-                    BitVec v = it != cex.inputs.end() ? it->second
-                                                      : BitVec(d.width);
-                    ev.setInput(d.name, t, tt.constant(v));
-                }
-            } else if (d.kind == oyster::DeclKind::Memory) {
-                auto it = cex.mems.find(d.name);
-                ev.setConcreteMem(d.name,
-                                  it != cex.mems.end()
-                                      ? it->second
-                                      : std::map<uint64_t, BitVec>{});
-            }
-        }
-        return ev.run(alpha.cycles());
+        TermRef v = per_instr_vals.back();
+        for (int j = per_instr_vals.size() - 2; j >= 0; j--)
+            v = tt.mkIte(pres[j], per_instr_vals[j], v);
+        return v;
     }
 };
 
@@ -297,6 +197,9 @@ SynthesisResult
 synthesizeControl(oyster::Design &sketch, const ila::Ila &spec,
                   const AbsFunc &alpha, const SynthesisOptions &opts)
 {
+    if (spec.instrs().empty())
+        owl_fatal("specification '", spec.name(),
+                  "' has no instructions to synthesize control for");
     obs::ScopedSpan span("synthesize");
     span.attr("instrs", spec.instrs().size());
     span.attr("strategy", strategyName(opts.strategy));
@@ -414,10 +317,29 @@ synthesizeControl(oyster::Design &sketch, const ila::Ila &spec,
         break;
       }
       case Strategy::Monolithic: {
-        MonolithicSynthesizer mono(sketch, spec, alpha);
-        int iters = 0;
-        result.status = mono.run(result.perInstr, copts, iters);
-        result.cegisIterations = iters;
+        obs::ScopedSpan cegis_span("cegis");
+        cegis_span.attr("mono", 1);
+        cegis_span.attr("instrs", spec.instrs().size());
+        MonolithicQueries mono(sketch, spec, alpha);
+        // candidate[j][hole] for instruction j.
+        std::vector<HoleValues> candidate(spec.instrs().size(),
+                                          zeroHoles(sketch));
+        result.status = cegisLoop(
+            copts, result.cegisIterations,
+            [&](Counterexample &cex) {
+                return mono.verify(candidate, cex, copts);
+            },
+            [&](const std::vector<Counterexample> &cexes,
+                obs::ScopedSpan &) {
+                OWL_TRACE_EVENT("cegis", "mono iter n=",
+                                cexes.size() - 1, " cex=", cexes.size());
+                return mono.synth(cexes, candidate, copts);
+            });
+        if (result.status == SynthStatus::Ok) {
+            for (size_t j = 0; j < candidate.size(); j++)
+                result.perInstr.emplace_back(spec.instrs()[j]->name(),
+                                             candidate[j]);
+        }
         break;
       }
     }
@@ -557,20 +479,12 @@ verifyDesign(const oyster::Design &design, const ila::Ila &spec,
         SymRun run = ev.run(alpha.cycles());
         SpecCompiler sc(spec, alpha, tt, run, design);
         InstrConditions conds = sc.compileInstr(*i);
-
-        std::vector<TermRef> assertions;
-        assertions.push_back(conds.pre);
-        for (TermRef a : conds.assumes)
-            assertions.push_back(a);
+        std::vector<TermRef> pins;
         for (const auto &[computed, pinned] : run.pinConstraints)
-            assertions.push_back(tt.mkEq(computed, pinned));
-        TermRef all_posts = tt.trueTerm();
-        for (TermRef p : conds.posts)
-            all_posts = tt.mkAnd(all_posts, p);
-        assertions.push_back(tt.mkNot(all_posts));
+            pins.push_back(tt.mkEq(computed, pinned));
 
-        CheckResult r = smt::checkSat(tt, assertions, nullptr,
-                                      opts.solveLimits());
+        CheckResult r = smt::checkSat(tt, conds.violated(tt, pins),
+                                      nullptr, opts.solveLimits());
         if (r == CheckResult::Unsat)
             continue;
         if (failed_instr)

@@ -19,6 +19,9 @@
  *    dramatically slower and exists to reproduce the paper's
  *    scalability comparison.
  *
+ * Both run the same loop, cegisLoop() (cegis.h); they differ only in
+ * the verify and synth steps they hand it.
+ *
  * verifyDesign() checks a completed (hole-free) design against the
  * specification — used for the handwritten references and as the
  * final assurance on synthesized designs.
@@ -96,7 +99,8 @@ struct SynthesisResult
 
 /**
  * Fill the sketch's holes with synthesized control logic. On success
- * (status Ok) the sketch is completed in place and validated.
+ * (status Ok) the sketch is completed in place and validated. A spec
+ * with no instructions is a FatalError.
  */
 SynthesisResult synthesizeControl(oyster::Design &sketch,
                                   const ila::Ila &spec,

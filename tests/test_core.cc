@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
 
 #include "designs/accumulator.h"
 #include "designs/alu_machine.h"
+#include "base/logging.h"
 #include "core/synthesis.h"
 #include "oyster/interp.h"
 #include "oyster/printer.h"
@@ -159,6 +161,111 @@ TEST(CoreAccumulator, UnsatSketchReportsFailure)
     SynthesisResult r = synthesizeControl(d, cs.spec, cs.alpha);
     EXPECT_EQ(r.status, SynthStatus::Unsat);
     EXPECT_EQ(r.failedInstr, "go_instr");
+
+    // Equation (1) over the same sketch: the joint query has no
+    // single instruction to blame.
+    SynthesisOptions mono;
+    mono.strategy = Strategy::Monolithic;
+    r = synthesizeControl(d, cs.spec, cs.alpha, mono);
+    EXPECT_EQ(r.status, SynthStatus::Unsat);
+    EXPECT_EQ(r.failedInstr, "");
+}
+
+TEST(CoreAccumulator, MonolithicStopsAtIterationLimit)
+{
+    // The joint query needs 5 CEGIS iterations on this design.
+    CaseStudy cs = makeAccumulator();
+    SynthesisOptions mono;
+    mono.strategy = Strategy::Monolithic;
+    mono.maxIterations = 1;
+    SynthesisResult r = synthesizeControl(cs.sketch, cs.spec, cs.alpha,
+                                          mono);
+    EXPECT_EQ(r.status, SynthStatus::IterLimit);
+    EXPECT_EQ(r.cegisIterations, 1);
+    EXPECT_TRUE(cs.sketch.hasHoles());
+}
+
+TEST(CoreAluMachine, MonolithicHonorsTimeLimit)
+{
+    // A 1 ms budget on a run that takes about 70 ms: the budget is
+    // gone after the first iteration at the latest.
+    CaseStudy cs = makeAluMachine();
+    SynthesisOptions mono;
+    mono.strategy = Strategy::Monolithic;
+    mono.timeLimit = std::chrono::milliseconds(1);
+    SynthesisResult r = synthesizeControl(cs.sketch, cs.spec, cs.alpha,
+                                          mono);
+    EXPECT_EQ(r.status, SynthStatus::Timeout);
+    EXPECT_TRUE(cs.sketch.hasHoles());
+}
+
+namespace
+{
+
+/** "instr: hole=value ..." per instruction, in result order. */
+std::string
+printHoles(const PerInstrResults &results)
+{
+    std::ostringstream os;
+    for (const auto &[instr, holes] : results) {
+        os << instr << ":";
+        for (const auto &[hole, value] : holes)
+            os << " " << hole << "=" << value.toString();
+        os << "\n";
+    }
+    return os.str();
+}
+
+} // namespace
+
+TEST(CoreMonolithic, HolesMatchRecordedValues)
+{
+    // Equation (1) takes its holes from the raw model of the joint
+    // synth query (no lexmin canonicalization), so these values pin
+    // every term of the monolithic verify and synth queries: building
+    // either one differently moves the model.
+    SynthesisOptions mono;
+    mono.strategy = Strategy::Monolithic;
+
+    CaseStudy acc = makeAccumulator();
+    SynthesisResult r = synthesizeControl(acc.sketch, acc.spec,
+                                          acc.alpha, mono);
+    ASSERT_EQ(r.status, SynthStatus::Ok);
+    EXPECT_EQ(r.cegisIterations, 5);
+    EXPECT_EQ(printHoles(r.perInstr),
+              "reset_instr: enc_go=2'h0 enc_reset=2'h0 enc_stop=2'h0 "
+              "fsm=2'h0 st_next=2'h0\n"
+              "go_instr: enc_go=2'h1 enc_reset=2'h0 enc_stop=2'h0 "
+              "fsm=2'h1 st_next=2'h1\n"
+              "stop_instr: enc_go=2'h0 enc_reset=2'h0 enc_stop=2'h0 "
+              "fsm=2'h1 st_next=2'h2\n");
+
+    CaseStudy alu = makeAluMachine();
+    r = synthesizeControl(alu.sketch, alu.spec, alu.alpha, mono);
+    ASSERT_EQ(r.status, SynthStatus::Ok);
+    EXPECT_EQ(r.cegisIterations, 5);
+    EXPECT_EQ(printHoles(r.perInstr), "NOP: alu_op=2'h0 reg_write=1'h0\n"
+                                      "ADD: alu_op=2'h0 reg_write=1'h1\n"
+                                      "XOR: alu_op=2'h1 reg_write=1'h1\n"
+                                      "SUB: alu_op=2'h3 reg_write=1'h1\n");
+}
+
+TEST(CoreSynthesis, EmptySpecIsFatalForEveryStrategy)
+{
+    // A spec with no instructions leaves nothing to synthesize: a user
+    // error, not a control union over no results or an empty chain.
+    for (Strategy s : {Strategy::PerInstruction,
+                       Strategy::PerInstructionParallel,
+                       Strategy::Monolithic}) {
+        SCOPED_TRACE(strategyName(s));
+        CaseStudy cs = makeAccumulator();
+        ila::Ila empty("empty");
+        SynthesisOptions opts;
+        opts.strategy = s;
+        EXPECT_THROW(synthesizeControl(cs.sketch, empty, cs.alpha, opts),
+                     FatalError);
+        EXPECT_TRUE(cs.sketch.hasHoles());
+    }
 }
 
 TEST(CoreAluMachine, SynthesizesAndVerifies)

@@ -405,6 +405,25 @@ def check_query_histograms(doc):
                  "count %d != expected %d samples" % (h["count"], expect))
 
 
+def cegis_accounting(mono):
+    """Both strategies run the same CEGIS loop, and every round but a
+    loop's last (the one whose verify step proves the candidate) ends
+    with a counterexample. So on a successful synthesis run
+    cegis.iterations == cegis.counterexamples + loops, where loops is
+    one per instruction (cegis.instructions) for the per-instruction
+    strategy and 1 for the joint --mono query."""
+    def check(doc):
+        counters = doc["counters"]
+        iters = counters.get("cegis.iterations", 0)
+        cexes = counters.get("cegis.counterexamples", 0)
+        loops = 1 if mono else counters.get("cegis.instructions", 0)
+        if loops <= 0 or iters != cexes + loops:
+            fail("$/counters/cegis.iterations",
+                 "%d CEGIS iterations != %d counterexamples + %d "
+                 "loop(s)" % (iters, cexes, loops))
+    return check
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("file", nargs="?", help="stats JSON file to validate")
@@ -422,8 +441,9 @@ def main():
     # the exporter: synthesis on the default incremental path (with
     # CNF preprocessing), synthesis with --no-incremental (fresh
     # solver per iteration), synthesis with --no-preprocess (the raw
-    # seed behavior), synthesis under --check-proofs, the lint
-    # pipeline, and a serve batch. Each run has its own required
+    # seed behavior), synthesis under --check-proofs, alu-machine runs
+    # (lazy and eager Ackermann, and --mono), the lint pipeline, a
+    # fuzzing session, and a serve batch. Each run has its own required
     # spans/counters on top of the schema check; extra checks run
     # arbitrary doc predicates (proof-coverage accounting, preprocess
     # counter consistency, per-query histogram coverage).
@@ -445,13 +465,13 @@ def main():
                       "sat.preprocess.rounds",
                       "sat.preprocess.vars_eliminated"],
                      [check_query_histograms,
-                      check_preprocess_stats]))
+                      check_preprocess_stats, cegis_accounting(False)]))
         runs.append((["synth", "accumulator", "--no-incremental"],
                      ["cegis", "cegis.iter", "smt.checkSat",
                       "sat.solve"],
                      ["sat.propagations", "cegis.iterations"],
                      [check_query_histograms,
-                      check_preprocess_stats]))
+                      check_preprocess_stats, cegis_accounting(False)]))
         # The raw path must still behave like the seed: search does
         # real work (nonzero conflicts/decisions) and the preprocess
         # counter family stays silent.
@@ -461,16 +481,16 @@ def main():
                      ["sat.conflicts", "sat.propagations",
                       "sat.decisions", "cegis.iterations"],
                      [check_query_histograms,
-                      check_no_preprocess_stats]))
+                      check_no_preprocess_stats, cegis_accounting(False)]))
         runs.append((["synth", "accumulator", "--check-proofs"],
                      ["cegis", "smt.checkSat"],
                      [],
-                     [check_proof_coverage]))
+                     [check_proof_coverage, cegis_accounting(False)]))
         runs.append((["synth", "accumulator", "--profile-sat"],
                      ["cegis", "smt.checkSat", "sat.solve"],
                      ["sat.phase.propagate.calls",
                       "sat.phase.decide.calls"],
-                     []))
+                     [cegis_accounting(False)]))
         # Lazy Ackermann (the default) on a memory-bearing design:
         # the refinement loop must actually run (nonzero lemmas,
         # rounds, scans) and its accounting must be consistent.
@@ -481,7 +501,14 @@ def main():
                       "smt.ackermann.scans",
                       "smt.ackermann.pair_bound",
                       "smt.ackermann_constraints"],
-                     [check_ackermann_stats]))
+                     [check_ackermann_stats, cegis_accounting(False)]))
+        # Equation (1): the monolithic strategy runs the same CEGIS
+        # loop as one joint query, so it books the same spans and the
+        # same iteration accounting with a single loop.
+        runs.append((["synth", "alu-machine", "--mono"],
+                     ["cegis", "cegis.iter", "smt.checkSat"],
+                     ["cegis.iterations", "cegis.counterexamples"],
+                     [check_ackermann_stats, cegis_accounting(True)]))
         # The eager escape hatch: full pair set up front, lazy
         # machinery silent.
         runs.append((["synth", "alu-machine", "--eager-ackermann"],
@@ -490,7 +517,8 @@ def main():
                      ["smt.ackermann_constraints",
                       "smt.ackermann.pair_bound"],
                      [check_ackermann_stats,
-                      check_eager_ackermann_stats]))
+                      check_eager_ackermann_stats,
+                      cegis_accounting(False)]))
         runs.append((["lint", "accumulator"],
                      ["lint.run", "lint.design", "lint.smt",
                       "lint.cnf", "lint.netlist"],

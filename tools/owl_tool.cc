@@ -221,6 +221,11 @@ loadOwlFile(const std::string &path, const std::string &cmd)
                 path.c_str(), cmd.c_str());
         exit(2);
     }
+    if (need_all && b.spec->instrs().empty()) {
+        fprintf(stderr, "owl: %s: spec has no instructions\n",
+                path.c_str());
+        exit(2);
+    }
     return CaseStudy(
         b.spec ? std::move(*b.spec) : ila::Ila("empty"),
         b.design ? std::move(*b.design) : oyster::Design("empty"),
@@ -663,8 +668,10 @@ main(int argc, char **argv)
     SynthesisResult r = synthesizeControl(cs.sketch, cs.spec, cs.alpha,
                                           opts);
     if (r.status != SynthStatus::Ok) {
-        fprintf(stderr, "[owl] synthesis failed: %s at %s\n",
-                synthStatusName(r.status), r.failedInstr.c_str());
+        fprintf(stderr, "[owl] synthesis failed: %s%s%s\n",
+                synthStatusName(r.status),
+                r.failedInstr.empty() ? "" : " at ",
+                r.failedInstr.c_str());
         write_stats();
         return 1;
     }
